@@ -195,6 +195,7 @@ def _run(args, argv) -> None:
                     "grid_floor": fit.grid_floor,
                     "starts": fit.starts,
                     "converged": fit.converged,
+                    "init_fallback": fit.init_fallback,
                 },
                 indent=2,
             )

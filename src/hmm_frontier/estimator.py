@@ -1,14 +1,14 @@
 """Minimum-distance estimation of frontier parameters from the triple law.
 
 The estimator minimizes the Euclidean distance between the model triple-law
-tensor and an (empirical) target tensor over the constraint box, via
-multi-start derivative-free simplex descent in unconstrained coordinates:
-psi1 through a softmax, psi2 through demean-and-normalize, and the three
-scalars clipped into the box inside the decode map so every evaluated
-point is feasible.  A closed-form moment-contraction initializer supplies
-the main start; a coarse grid over the scalar coordinates provides a lower
-proxy for the infimum so near-minimality (objective <= 2 * grid floor) can
-be reported as a convergence diagnostic.
+tensor and an (empirical) target tensor over the constraint box by
+derivative-free simplex descent in unconstrained coordinates (psi1 through
+a softmax, psi2 demeaned and normalized, the scalars clipped into the box)
+from several starts: the closed-form moment-contraction initializer, its
+phi2-sign flip, the box witness, and ``SearchConfig.random_starts`` random
+box members.  The grid floor, the minimum distance over a 2 x 9 x 9 x 9
+grid of (sign phi2, |phi2|, phi1, phi3) with psi frozen at the best fit,
+backs the convergence diagnostic objective <= 2 * grid floor.
 """
 
 from __future__ import annotations
@@ -32,21 +32,21 @@ from .params import (
     validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law
-from .triple_law import TripleLaw, triple_law_phipsi
+from .triple_law import TripleLaw, triple_law_phipsi, triple_tensor
 
 _SIGN_TOL = 1e-12
 _SIMPLEX_STEP = 0.05
+_MAX_EVALS = 2000  # objective evaluations per simplex start
+_PENALTY = 10.0  # weight of the phi3-infeasibility penalty in the objective
+_GRID_POINTS = 9  # grid-floor points per scalar coordinate
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the multi-start simplex search."""
+    """Random members added to the deterministic starts, and their seed."""
 
     random_starts: int = 3
     seed: int = 0
-    max_evals: int = 2000
-    grid_points: int = 9
-    penalty: float = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,29 +124,40 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
     return pp, False
 
 
-def _phi1_bound(phi2: float, box: ConstraintBox) -> float:
-    b = min(1.0 - 2.0 * box.delta / (1.0 - phi2), 2.0 / (1.0 - phi2) - 1.0)
-    return max(b, 0.0)
+def _phi1_bound(phi2, box: ConstraintBox):
+    """Largest |phi1| allowed at phi2 (elementwise on arrays)."""
+    b = np.minimum(1.0 - 2.0 * box.delta / (1.0 - phi2), 2.0 / (1.0 - phi2) - 1.0)
+    return np.maximum(b, 0.0)
 
 
-def _phi3_max(phi1: float, psi1: np.ndarray, psi2: np.ndarray) -> float:
+def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
+    """Largest phi3 with nonnegative emissions; phi1 of shape (..., 1) gives (...)."""
     den = phi1 * psi2 + np.abs(psi2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(den > 0.0, 2.0 * psi1 / den, np.inf)
-    return float(ratios.min())
+    return ratios.min(axis=-1)
+
+
+def _clip(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
+    """Clamp phi2, then phi1, then phi3 into the box at fixed psi.
+
+    Also returns ``hi``, the largest phi3 with nonnegative emissions; no
+    phi3 in the box is feasible when ``hi < zeta``.
+    """
+    s = 1.0 if phi2 >= 0.0 else -1.0
+    phi2 = s * min(max(abs(phi2), box.epsilon), box.phi2_max)
+    b1 = _phi1_bound(phi2, box)
+    phi1 = float(np.clip(phi1, -b1, b1))
+    hi = float(_phi3_max(phi1, psi1, psi2))
+    phi3 = float(np.clip(phi3, box.zeta, max(hi, box.zeta)))
+    return phi1, phi2, phi3, hi
 
 
 def _project(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
     """Clip scalar coordinates into the box; None when no feasible phi3 exists."""
-    s = 1.0 if phi2 >= 0.0 else -1.0
-    mag = min(max(abs(phi2), box.epsilon), box.phi2_max)
-    phi2 = s * mag
-    b1 = _phi1_bound(phi2, box)
-    phi1 = float(np.clip(phi1, -b1, b1))
-    hi = _phi3_max(phi1, psi1, psi2)
+    phi1, phi2, phi3, hi = _clip(phi1, phi2, phi3, psi1, psi2, box)
     if hi < box.zeta:
         return None
-    phi3 = float(np.clip(phi3, box.zeta, hi))
     try:
         pp = PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=psi2)
     except ValidationError:
@@ -183,28 +194,8 @@ def _decode(z: np.ndarray, box: ConstraintBox):
     w = w - w.mean()
     norm = float(np.linalg.norm(w))
     psi2 = w / norm if norm > _SIGN_TOL else fallback_direction(K)
-    s = 1.0 if z[1] >= 0.0 else -1.0
-    phi2 = s * min(max(abs(z[1]), box.epsilon), box.phi2_max)
-    b1 = _phi1_bound(phi2, box)
-    phi1 = float(np.clip(z[0], -b1, b1))
-    hi = _phi3_max(phi1, psi1, psi2)
-    penalty = max(0.0, box.zeta - hi)
-    phi3 = float(np.clip(z[2], box.zeta, max(hi, box.zeta)))
-    return phi1, phi2, phi3, psi1, psi2, penalty
-
-
-def _tensor(phi1, phi2, phi3, psi1, psi2) -> np.ndarray:
-    r = 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
-    return (
-        np.einsum("a,b,c->abc", psi1, psi1, psi1)
-        + r
-        * (
-            np.einsum("a,b,c->abc", psi2, psi2, psi1)
-            + np.einsum("a,b,c->abc", psi1, psi2, psi2)
-        )
-        + phi2 * r * np.einsum("a,b,c->abc", psi2, psi1, psi2)
-        - phi1 * phi2 * phi3 * r * np.einsum("a,b,c->abc", psi2, psi2, psi2)
-    )
+    phi1, phi2, phi3, hi = _clip(z[0], z[1], z[2], psi1, psi2, box)
+    return phi1, phi2, phi3, psi1, psi2, max(0.0, box.zeta - hi)
 
 
 def min_distance_fit(
@@ -223,9 +214,8 @@ def min_distance_fit(
 
     def objective(z: np.ndarray) -> float:
         phi1, phi2, phi3, psi1, psi2, pen = _decode(z, box)
-        return float(np.linalg.norm(_tensor(phi1, phi2, phi3, psi1, psi2) - target)) + (
-            cfg.penalty * pen
-        )
+        d = triple_tensor(phi1, phi2, phi3, psi1, psi2) - target
+        return float(np.linalg.norm(d)) + _PENALTY * pen
 
     init, used_fallback = moment_init(phat, box)
     starts = [init]
@@ -245,7 +235,7 @@ def min_distance_fit(
             z0,
             method="Nelder-Mead",
             options={
-                "maxfev": cfg.max_evals,
+                "maxfev": _MAX_EVALS,
                 "fatol": 1e-12,
                 "xatol": 1e-10,
                 "initial_simplex": simplex,
@@ -268,7 +258,7 @@ def min_distance_fit(
     key, estimate = best
     objective_value = key[0]
 
-    floor = _grid_floor(target, estimate, box, cfg)
+    floor = _grid_floor(target, estimate, box)
     converged = objective_value <= 2.0 * floor + 1e-9
     return FitResult(
         estimate=estimate,
@@ -286,28 +276,24 @@ def _better(key_a, key_b) -> bool:
     return key_a[1:] < key_b[1:]
 
 
-def _grid_floor(
-    target: np.ndarray, best: PhiPsiParams, box: ConstraintBox, cfg: SearchConfig
-) -> float:
-    """Min objective over a coarse scalar grid with psi frozen at the best fit."""
-    g = cfg.grid_points
+def _grid_floor(target: np.ndarray, best: PhiPsiParams, box: ConstraintBox) -> float:
+    """Min objective over a coarse scalar grid with psi frozen at the best fit.
+
+    Each axis spans its box range given the axes before it; phi1 rows with
+    no feasible phi3 are left out.
+    """
+    g = _GRID_POINTS
     psi1, psi2 = best.psi1, best.psi2
-    floor = np.inf
     mags = np.linspace(box.epsilon, box.phi2_max, g)
-    for sign in (1.0, -1.0):
-        for mag in mags:
-            phi2 = sign * mag
-            b1 = _phi1_bound(phi2, box)
-            for phi1 in np.linspace(-b1, b1, g):
-                hi = _phi3_max(phi1, psi1, psi2)
-                if hi < box.zeta:
-                    continue
-                for phi3 in np.linspace(box.zeta, hi, g):
-                    d = float(
-                        np.linalg.norm(_tensor(phi1, phi2, phi3, psi1, psi2) - target)
-                    )
-                    floor = min(floor, d)
-    return floor
+    phi2 = np.stack([mags, -mags])  # (2, g)
+    b1 = _phi1_bound(phi2, box)
+    phi1 = np.linspace(-b1, b1, g, axis=-1)  # (2, g, g)
+    hi = _phi3_max(phi1[..., None], psi1, psi2)  # (2, g, g)
+    phi3 = np.linspace(box.zeta, hi, g, axis=-1)  # (2, g, g, g)
+    grid = np.broadcast_arrays(phi1[..., None], phi2[..., None, None], phi3)
+    t = triple_tensor(*(x[..., None, None, None] for x in grid), psi1, psi2)
+    d = np.sqrt(np.square(t - target).sum(axis=(-3, -2, -1)))
+    return float(np.where(hi[..., None] >= box.zeta, d, np.inf).min())
 
 
 def estimate_theta(observed, box: ConstraintBox, config: SearchConfig | None = None):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalDegeneracyError, ValidationError
 from .params import PhiPsiParams, ThetaParams, phipsi_to_theta, stationary_dist, theta_to_phipsi
 from .simulate import sample_paths
-from .triple_law import rho
+from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
 
@@ -102,7 +102,7 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
         raise ValidationError("observed must be nonempty")
     _check_positive_emissions(pp)
     phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
-    r = 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
+    r = r_of_phi((phi1, phi2, phi3))
     a = pp.psi1[y - 1]
     b = pp.psi2[y - 1]
     v = np.empty(y.size)
@@ -137,7 +137,7 @@ def loglik_batch(pp: PhiPsiParams, observed: np.ndarray, checkpoints=None):
         raise ValidationError("observed must be a nonempty R x n matrix")
     _check_positive_emissions(pp)
     phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
-    r = 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
+    r = r_of_phi((phi1, phi2, phi3))
     a = pp.psi1[y - 1]
     b = pp.psi2[y - 1]
     loglik = np.log(np.maximum(a[:, 0], LOG_FLOOR))
@@ -173,14 +173,13 @@ class KLEstimate:
     mean: float
     stderr: float
     replicates_used: int
-    replicates_degenerate: int
 
 
 def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n: int, replicates: int, seed) -> KLEstimate:
     """Average loglik difference over paths drawn under ``a``.
 
-    Replicates whose loglik under either parameter is -inf are excluded
-    from the average and counted in ``replicates_degenerate``.
+    Every replicate counts: ``loglik_batch`` raises rather than return a
+    non-finite log-likelihood.
     """
     if replicates < 2:
         raise ValidationError("replicates must be >= 2")
@@ -189,15 +188,10 @@ def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n: int, replicates: int, seed)
     la = loglik_batch(a, paths.observed)
     lb = loglik_batch(b, paths.observed)
     diff = la - lb
-    finite = np.isfinite(diff)
-    used = diff[finite]
-    if used.size < 2:
-        raise ValidationError("fewer than 2 usable replicates")
     return KLEstimate(
-        mean=float(used.mean()),
-        stderr=float(used.std(ddof=1) / np.sqrt(used.size)),
-        replicates_used=int(used.size),
-        replicates_degenerate=int((~finite).sum()),
+        mean=float(diff.mean()),
+        stderr=float(diff.std(ddof=1) / np.sqrt(diff.size)),
+        replicates_used=int(diff.size),
     )
 
 

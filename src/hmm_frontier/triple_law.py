@@ -151,17 +151,22 @@ def triple_law_theta(theta: ThetaParams) -> TripleLaw:
     return TripleLaw(probs=t)
 
 
-def triple_law_phipsi(pp: PhiPsiParams) -> TripleLaw:
-    """Triple law in frontier coordinates via the rank-one expansion."""
-    r = r_of_phi((pp.phi1, pp.phi2, pp.phi3))
-    a, b = pp.psi1, pp.psi2
-    t = (
+def triple_tensor(phi1, phi2, phi3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """Unvalidated ``triple_law_phipsi`` tensor; phi arrays of shape
+    ``(..., 1, 1, 1)`` give a stack of shape ``(..., K, K, K)``."""
+    r = r_of_phi((phi1, phi2, phi3))
+    a, b = psi1, psi2
+    return (
         np.einsum("a,b,c->abc", a, a, a)
         + r * (np.einsum("a,b,c->abc", b, b, a) + np.einsum("a,b,c->abc", a, b, b))
-        + pp.phi2 * r * np.einsum("a,b,c->abc", b, a, b)
-        - pp.phi1 * pp.phi2 * pp.phi3 * r * np.einsum("a,b,c->abc", b, b, b)
+        + phi2 * r * np.einsum("a,b,c->abc", b, a, b)
+        - phi1 * phi2 * phi3 * r * np.einsum("a,b,c->abc", b, b, b)
     )
-    return TripleLaw(probs=t)
+
+
+def triple_law_phipsi(pp: PhiPsiParams) -> TripleLaw:
+    """Triple law in frontier coordinates via the rank-one expansion."""
+    return TripleLaw(probs=triple_tensor(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2))
 
 
 def _sign(x: float) -> float:
@@ -281,6 +286,7 @@ __all__ = [
     "m_of_phi",
     "phi_of_m",
     "triple_law_theta",
+    "triple_tensor",
     "triple_law_phipsi",
     "rho",
     "equivalence_ratio_probe",

@@ -55,7 +55,8 @@ class TestEstimate:
         )
         assert code == 0
         result = json.loads(out_file.read_text())
-        assert set(result) >= {"theta", "estimate", "objective", "converged"}
+        assert set(result) >= {"theta", "estimate", "objective", "converged", "init_fallback"}
+        assert isinstance(result["init_fallback"], bool)
         assert 0 < result["theta"]["p"] <= 1
 
     def test_reads_csv_input(self, capsys, tmp_path):

@@ -4,7 +4,9 @@ import pytest
 from hmm_frontier import (
     ConstraintBox,
     NoMemberError,
+    PhiPsiParams,
     SearchConfig,
+    ThetaParams,
     canonicalize,
     estimate_theta,
     losses,
@@ -17,11 +19,12 @@ from hmm_frontier import (
     triple_law_phipsi,
     validate_phipsi,
 )
+from hmm_frontier.estimator import _GRID_POINTS
 from hmm_frontier.triple_law import TripleLaw
 
 from test_params import worked_box, worked_theta
 
-FAST = SearchConfig(random_starts=1, grid_points=5)
+FAST = SearchConfig(random_starts=1)
 
 
 def worked_pp():
@@ -95,6 +98,60 @@ class TestMinDistanceFit:
         bad = ConstraintBox(delta=0.4, epsilon=0.5, zeta=0.1, L=0.3, K=3)
         with pytest.raises(NoMemberError):
             min_distance_fit(triple_law_phipsi(worked_pp()), bad, FAST)
+
+
+def reference_grid_floor(target, best, box):
+    """Loop over the grid-floor grid, one validated parameter per point.
+
+    Returns the floor and the number of phi1 rows with no feasible phi3.
+    """
+    g = _GRID_POINTS
+    psi1, psi2 = best.psi1, best.psi2
+    mags = np.linspace(box.epsilon, box.phi2_max, g)
+    floor, skipped = np.inf, 0
+    for phi2 in np.concatenate([mags, -mags]):
+        b1 = max(min(1.0 - 2.0 * box.delta / (1.0 - phi2), 2.0 / (1.0 - phi2) - 1.0), 0.0)
+        for phi1 in np.linspace(-b1, b1, g):
+            den = phi1 * psi2 + np.abs(psi2)
+            hi = min(2.0 * psi1[k] / den[k] for k in range(box.K) if den[k] > 0.0)
+            if hi < box.zeta:
+                skipped += 1
+                continue
+            for phi3 in np.linspace(box.zeta, hi, g):
+                pp = PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=psi2)
+                floor = min(floor, float(np.linalg.norm(triple_law_phipsi(pp).probs - target)))
+    return floor, skipped
+
+
+class TestGridFloor:
+    # The thin case's truth has phi3 below zeta, so the fit sits on phi3 = zeta
+    # and points of the rows with no feasible phi3 would undercut the floor.
+    @pytest.mark.parametrize(
+        "theta, box, thin",
+        [
+            (
+                ThetaParams(p=0.2, q=0.3, f0=[0.7, 0.2, 0.1], f1=[0.1, 0.2, 0.7]),
+                worked_box(),
+                False,
+            ),
+            (
+                ThetaParams(
+                    p=0.05, q=0.5, f0=[0.002, 0.3, 0.3, 0.398], f1=[0.03, 0.3, 0.3, 0.37]
+                ),
+                ConstraintBox(delta=0.02, epsilon=0.05, zeta=0.05, L=0.3, K=4),
+                True,
+            ),
+        ],
+        ids=["criterion5-box", "thin-K4-box"],
+    )
+    def test_matches_brute_force(self, theta, box, thin):
+        exact = triple_law_phipsi(theta_to_phipsi(theta)).probs
+        noise = np.random.default_rng(11).uniform(0.999, 1.001, exact.shape)
+        target = TripleLaw(probs=exact * noise)
+        fit = min_distance_fit(target, box, FAST)
+        floor, skipped = reference_grid_floor(target.probs, fit.estimate, box)
+        assert (skipped > 0) == thin
+        assert fit.grid_floor == pytest.approx(floor, rel=1e-12, abs=0.0)
 
 
 class TestEstimateTheta:

@@ -106,7 +106,7 @@ class TestRateSweep:
     def test_single_row(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(1000,), replicas=1, master_seed=5,
-            search=SearchConfig(random_starts=0, grid_points=3),
+            search=SearchConfig(random_starts=0),
         )
         rows = rate_sweep(cfg)
         assert len(rows) == 1
@@ -117,7 +117,7 @@ class TestRateSweep:
     def test_determinism_modulo_wall_time(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(500, 1000), replicas=2, master_seed=7,
-            search=SearchConfig(random_starts=0, grid_points=3),
+            search=SearchConfig(random_starts=0),
         )
         a = rate_sweep(cfg)
         b = rate_sweep(cfg)
@@ -129,7 +129,7 @@ class TestRateSweep:
     def test_csv_schema(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(500,), replicas=1, master_seed=1,
-            search=SearchConfig(random_starts=0, grid_points=3),
+            search=SearchConfig(random_starts=0),
         )
         text = sweep_rows_to_csv(rate_sweep(cfg))
         header = text.splitlines()[0]
