@@ -207,16 +207,13 @@ def _run(args, argv) -> None:
             n_grid=tuple(int(x) for x in str(args.n_grid).split(",")),
             replicas=args.replicas,
             master_seed=args.seed,
-            target=args.target,
-            output_path=args.out,
             resample_truths=args.resample_truths,
         )
         rows = rate_sweep(cfg)
-        if not args.out:
-            sys.stdout.write(sweep_rows_to_csv(rows))
+        _write(args.out, sweep_rows_to_csv(rows))
         try:
-            slope, _, r2 = slope_fit(rows, cfg.target)
-            print(f"# slope({cfg.target}) = {slope:.4f}  r2 = {r2:.4f}", file=sys.stderr)
+            slope, _, r2 = slope_fit(rows, args.target)
+            print(f"# slope({args.target}) = {slope:.4f}  r2 = {r2:.4f}", file=sys.stderr)
         except FrontierError:
             pass
     elif cmd == "kl-probe":

@@ -8,7 +8,11 @@ from several starts: the closed-form moment-contraction initializer, its
 phi2-sign flip, the box witness, and ``SearchConfig.random_starts`` random
 box members.  The grid floor, the minimum distance over a 2 x 9 x 9 x 9
 grid of (sign phi2, |phi2|, phi1, phi3) with psi frozen at the best fit,
-backs the convergence diagnostic objective <= 2 * grid floor.
+backs the convergence diagnostic objective <= 2 * grid floor.  That is
+all ``FitResult.converged`` means: a start stuck in a local minimum less
+than twice the floor still counts as converged (on a bank of 72 fits, 9
+fits without random starts ended up to 10 % above the default's objective
+and were all flagged converged).
 """
 
 from __future__ import annotations

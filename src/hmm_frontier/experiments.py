@@ -46,8 +46,6 @@ class SweepConfig:
     n_grid: tuple
     replicas: int
     master_seed: int
-    target: str = "loss_phi2"
-    output_path: str | None = None
     resample_truths: bool = False
     search: SearchConfig = field(default_factory=SearchConfig)
 
@@ -220,9 +218,6 @@ def rate_sweep(cfg: SweepConfig):
                     row[col] = math.nan
             row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
             rows.append(row)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(sweep_rows_to_csv(rows))
     return rows
 
 

@@ -1,14 +1,18 @@
-"""Prediction filter, scalar V recursion, log-likelihood, and KL rate probes.
+"""Prediction filter, V recursion, log-likelihoods, and KL rate probes.
 
-Two equivalent exact-likelihood recursions are implemented:
+The exact likelihood is computed two independent ways:
 
 * ``forward_filter`` -- the classical forward recursion on the prediction
-  filter P_k(x) = P(X_{k+1} = x | Y_{1:k}) in native coordinates;
-* ``v_recursion`` -- the scalar recursion on
-  V_k = phi3 (P_k(0) - P_k(1) - phi1) in frontier coordinates, whose
-  predictive density for the next symbol is psi1(y) + V_k psi2(y) / 2.
+  filter P_k(x) = P(X_{k+1} = x | Y_{1:k}) in native coordinates, kept as
+  the oracle the V recursion is tested against;
+* the recursion on V_k = phi3 (P_k(0) - P_k(1) - phi1) in frontier
+  coordinates, whose predictive density for the next symbol is
+  psi1(y) + V_k psi2(y) / 2.  One loop (``_v_scan``) runs it over the rows
+  of an R x n symbol matrix: ``loglik_batch`` scores many paths at once
+  (with optional prefix checkpoints), and ``v_recursion`` runs it on one
+  path and also returns the V and filter trajectories.
 
-Their log-likelihoods agree to high accuracy; the V form makes the
+The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
 these sit a Monte-Carlo estimator of the Kullback-Leibler divergence
 between two parameters' path laws and the structural n * rho^2 factor it
@@ -78,10 +82,47 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik), impossible=impossible)
 
 
-def _check_positive_emissions(pp: PhiPsiParams) -> None:
+def _v_scan(pp: PhiPsiParams, y: np.ndarray, checkpoints=None, keep_v: bool = False):
+    """The V recursion run over the rows of an R x n symbol matrix.
+
+    Returns the R path log-likelihoods, the R x len(checkpoints) matrix of
+    prefix log-likelihoods, and the R x n trajectory of V (None unless
+    ``keep_v``).
+    """
     theta = phipsi_to_theta(pp)
     if min(theta.f0.min(), theta.f1.min()) <= 0.0:
         raise ValidationError("v_recursion requires strictly positive emissions")
+    phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
+    r = r_of_phi((phi1, phi2, phi3))
+    a = pp.psi1[y - 1]
+    b = pp.psi2[y - 1]
+    loglik = np.log(np.maximum(a[:, 0], LOG_FLOOR))
+    vk = 2.0 * r * b[:, 0] / a[:, 0]
+    v = np.empty(y.shape) if keep_v else None
+    if keep_v:
+        v[:, 0] = vk
+    cps = list(checkpoints) if checkpoints is not None else []
+    prefix = np.empty((y.shape[0], len(cps)))
+    ci = 0
+    if cps and cps[0] == 1:
+        prefix[:, 0] = loglik
+        ci = 1
+    for k in range(1, y.shape[1]):
+        ak, bk = a[:, k], b[:, k]
+        den = ak + 0.5 * bk * vk
+        bad = den <= 0.0
+        if np.any(bad):
+            raise NumericalDegeneracyError(
+                f"nonpositive predictive density {den[bad][0]} at step {k + 1}", step=k + 1
+            )
+        loglik = loglik + np.log(np.maximum(den, LOG_FLOOR))
+        vk = (phi2 * (ak - phi1 * phi3 * bk) * vk + 2.0 * r * bk) / den
+        if keep_v:
+            v[:, k] = vk
+        if ci < len(cps) and cps[ci] == k + 1:
+            prefix[:, ci] = loglik
+            ci += 1
+    return loglik, prefix, v
 
 
 def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
@@ -98,31 +139,15 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
     and |phi2| is small).
     """
     y = np.asarray(observed, dtype=np.int64)
-    if y.size == 0:
-        raise ValidationError("observed must be nonempty")
-    _check_positive_emissions(pp)
-    phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
-    r = r_of_phi((phi1, phi2, phi3))
-    a = pp.psi1[y - 1]
-    b = pp.psi2[y - 1]
-    v = np.empty(y.size)
-    loglik = np.log(max(a[0], LOG_FLOOR))
-    vk = 2.0 * r * b[0] / a[0]
-    v[0] = vk
-    for k in range(1, y.size):
-        den = a[k] + 0.5 * b[k] * vk
-        if den <= 0.0:
-            raise NumericalDegeneracyError(
-                f"nonpositive predictive density {den} at step {k + 1}", step=k + 1
-            )
-        loglik += np.log(max(den, LOG_FLOOR))
-        vk = (phi2 * (a[k] - phi1 * phi3 * b[k]) * vk + 2.0 * r * b[k]) / den
-        v[k] = vk
-    if phi3 > 0.0:
-        pred1 = 0.5 * (1.0 - phi1 - v / phi3)
+    if y.ndim != 1 or y.size == 0:
+        raise ValidationError("observed must be a nonempty vector")
+    loglik, _, v = _v_scan(pp, y[None, :], keep_v=True)
+    v = v[0]
+    if pp.phi3 > 0.0:
+        pred1 = 0.5 * (1.0 - pp.phi1 - v / pp.phi3)
     else:
-        pred1 = np.full(y.size, 0.5 * (1.0 - phi1))
-    return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik))
+        pred1 = np.full(y.size, 0.5 * (1.0 - pp.phi1))
+    return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik[0]))
 
 
 def loglik_batch(pp: PhiPsiParams, observed: np.ndarray, checkpoints=None):
@@ -135,35 +160,8 @@ def loglik_batch(pp: PhiPsiParams, observed: np.ndarray, checkpoints=None):
     y = np.asarray(observed, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValidationError("observed must be a nonempty R x n matrix")
-    _check_positive_emissions(pp)
-    phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
-    r = r_of_phi((phi1, phi2, phi3))
-    a = pp.psi1[y - 1]
-    b = pp.psi2[y - 1]
-    loglik = np.log(np.maximum(a[:, 0], LOG_FLOOR))
-    vk = 2.0 * r * b[:, 0] / a[:, 0]
-    cps = list(checkpoints) if checkpoints is not None else []
-    prefix = np.empty((y.shape[0], len(cps)))
-    ci = 0
-    if cps and cps[0] == 1:
-        prefix[:, 0] = loglik
-        ci = 1
-    for k in range(1, y.shape[1]):
-        ak, bk = a[:, k], b[:, k]
-        den = ak + 0.5 * bk * vk
-        bad = den <= 0.0
-        if np.any(bad):
-            raise NumericalDegeneracyError(
-                f"nonpositive predictive density at step {k + 1}", step=k + 1
-            )
-        loglik = loglik + np.log(np.maximum(den, LOG_FLOOR))
-        vk = (phi2 * (ak - phi1 * phi3 * bk) * vk + 2.0 * r * bk) / den
-        if ci < len(cps) and cps[ci] == k + 1:
-            prefix[:, ci] = loglik
-            ci += 1
-    if checkpoints is not None:
-        return loglik, prefix
-    return loglik
+    loglik, prefix, _ = _v_scan(pp, y, checkpoints)
+    return loglik if checkpoints is None else (loglik, prefix)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,11 @@ from .triple_law import TripleLaw
 
 @dataclass(frozen=True, eq=False)
 class PathSample:
-    """One simulated trajectory: hidden states in {0,1}, symbols in {1..K}."""
+    """Simulated trajectories: hidden states in {0,1}, symbols in {1..K}.
+
+    ``hidden`` and ``observed`` are read-only int64 arrays of shape (n,) for
+    one path or (R, n) for R paths of common length n; ``len()`` is n.
+    """
 
     hidden: np.ndarray
     observed: np.ndarray
@@ -31,23 +33,22 @@ class PathSample:
     def __post_init__(self):
         h = np.asarray(self.hidden, dtype=np.int64)
         y = np.asarray(self.observed, dtype=np.int64)
-        if h.shape != y.shape or h.ndim != 1:
-            raise ValidationError("hidden and observed must be equal-length vectors")
+        if h.shape != y.shape or h.ndim not in (1, 2):
+            raise ValidationError("hidden and observed must have equal shapes (n,) or (R, n)")
+        # np.asarray returns int64 input as is: freezing never copies R x n arrays
         h.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "hidden", h)
         object.__setattr__(self, "observed", y)
 
     def __len__(self) -> int:
-        return self.hidden.size
+        return self.hidden.shape[-1]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "y"])
-        for x, y in zip(self.hidden, self.observed):
-            w.writerow([int(x), int(y)])
-        return buf.getvalue()
+        if self.hidden.ndim != 1:
+            raise ValidationError("to_csv writes one path; select a row first")
+        rows = zip(self.hidden.tolist(), self.observed.tolist())
+        return "x,y\n" + "".join(f"{x},{y}\n" for x, y in rows)
 
 
 def derive_seed(master_seed, *keys) -> np.random.SeedSequence:
@@ -55,43 +56,29 @@ def derive_seed(master_seed, *keys) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), *[int(k) for k in keys]])
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
-    """Stationary trajectory of length n; deterministic given the seed."""
+    """Stationary trajectory of length n; deterministic given the seed.
+
+    The path is row 0 of ``sample_paths(theta, n, 1, seed)``.
+    """
     if n < 0:
         raise ValidationError("n must be >= 0")
     batch = sample_paths(theta, n, 1, seed)
     return PathSample(hidden=batch.hidden[0], observed=batch.observed[0], seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
-class PathBatch:
-    """R trajectories of common length n, stacked row-wise."""
+def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
+    """Vectorized sampler: `count` independent stationary paths of length n.
 
-    hidden: np.ndarray
-    observed: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.hidden.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.hidden.shape[1]
-
-
-def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathBatch:
-    """Vectorized sampler: `count` independent stationary paths of length n."""
+    Returns one ``PathSample`` whose arrays have shape (count, n).
+    """
     if n < 0 or count < 0:
         raise ValidationError("n and count must be >= 0")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     hidden = np.empty((count, n), dtype=np.int64)
     observed = np.empty((count, n), dtype=np.int64)
     if n == 0 or count == 0:
-        return PathBatch(hidden=hidden, observed=observed)
+        return PathSample(hidden=hidden, observed=observed, seed=seed)
     pi1 = stationary_dist(theta.p, theta.q)[1]
     state = (rng.random(count) < pi1).astype(np.int64)
     hidden[:, 0] = state
@@ -105,7 +92,7 @@ def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathBatch:
     for x in (0, 1):
         mask = hidden == x
         observed[mask] = np.searchsorted(cdf[x], u[mask], side="right") + 1
-    return PathBatch(hidden=hidden, observed=observed)
+    return PathSample(hidden=hidden, observed=observed, seed=seed)
 
 
 def empirical_triple_law(observed, K: int) -> TripleLaw:
@@ -127,7 +114,6 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
 
 __all__ = [
     "PathSample",
-    "PathBatch",
     "derive_seed",
     "sample_path",
     "sample_paths",

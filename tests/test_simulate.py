@@ -4,6 +4,7 @@ import pytest
 from hmm_frontier import (
     InsufficientDataError,
     ThetaParams,
+    ValidationError,
     empirical_triple_law,
     sample_path,
     sample_paths,
@@ -49,14 +50,23 @@ class TestSamplePath:
     def test_batch_matches_single_shape(self):
         batch = sample_paths(worked_theta(), 50, 4, 9)
         assert batch.hidden.shape == (4, 50)
+        assert len(batch) == 50
         again = sample_paths(worked_theta(), 50, 4, 9)
         np.testing.assert_array_equal(batch.observed, again.observed)
+        assert not batch.hidden.flags.writeable
+        assert not batch.observed.flags.writeable
+        one = sample_path(worked_theta(), 50, 9)
+        row = sample_paths(worked_theta(), 50, 1, 9)
+        np.testing.assert_array_equal(one.hidden, row.hidden[0])
+        np.testing.assert_array_equal(one.observed, row.observed[0])
 
     def test_csv_export(self):
         ps = sample_path(worked_theta(), 3, 5)
         lines = ps.to_csv().splitlines()
         assert lines[0] == "x,y"
-        assert len(lines) == 4
+        assert lines[1:] == [f"{x},{y}" for x, y in zip(ps.hidden, ps.observed)]
+        with pytest.raises(ValidationError):
+            sample_paths(worked_theta(), 3, 2, 5).to_csv()
 
 
 class TestEmpiricalTripleLaw:
