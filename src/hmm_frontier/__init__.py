@@ -42,6 +42,7 @@ from .filter_kl import (
     forward_filter,
     kl_estimate,
     kl_rho_bound,
+    llr_paths,
     loglik_batch,
     v_recursion,
 )

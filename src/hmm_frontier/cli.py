@@ -54,6 +54,10 @@ def _write(out_path, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(out_path, record: dict) -> None:
+    _write(out_path, json.dumps(record, indent=2) + "\n")
+
+
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
     """Fill unset flags from the JSON config file, if one was given."""
     if not getattr(args, "config", None):
@@ -185,21 +189,17 @@ def _run(args, argv) -> None:
         theta, fit = estimate_theta(
             observed, box, SearchConfig(random_starts=args.starts, seed=args.seed)
         )
-        _write(
+        _write_json(
             args.out,
-            json.dumps(
-                {
-                    "theta": json.loads(theta.to_json()),
-                    "estimate": json.loads(fit.estimate.to_json()),
-                    "objective": fit.objective,
-                    "grid_floor": fit.grid_floor,
-                    "starts": fit.starts,
-                    "converged": fit.converged,
-                    "init_fallback": fit.init_fallback,
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "theta": json.loads(theta.to_json()),
+                "estimate": json.loads(fit.estimate.to_json()),
+                "objective": fit.objective,
+                "grid_floor": fit.grid_floor,
+                "starts": fit.starts,
+                "converged": fit.converged,
+                "init_fallback": fit.init_fallback,
+            },
         )
     elif cmd == "rate-sweep":
         cfg = SweepConfig(
@@ -220,28 +220,24 @@ def _run(args, argv) -> None:
         a = _load_phipsi(args.params_a)
         b = _load_phipsi(args.params_b)
         d = rho(a, b)
+        grid = [int(x) for x in str(args.n_grid).split(",")]
         lines = ["n,rho,rho_sq_times_n,kl_mean,kl_stderr,ratio"]
-        for i, n in enumerate(int(x) for x in str(args.n_grid).split(",")):
-            kl = kl_estimate(a, b, n, args.replicas, [int(args.seed), i])
+        for n, kl in zip(grid, kl_estimate(a, b, grid, args.replicas, [int(args.seed), 0])):
             bound = kl_rho_bound(a, b, n)
             ratio = kl.mean / bound if bound > 0 else float("nan")
             lines.append(f"{n},{d!r},{bound!r},{kl.mean!r},{kl.stderr!r},{ratio!r}")
         _write(args.out, "\n".join(lines) + "\n")
     elif cmd == "equiv-probe":
         summary = equivalence_ratio_probe(_box_from(args), args.pairs, args.seed)
-        _write(
+        _write_json(
             args.out,
-            json.dumps(
-                {
-                    "min_ratio": summary.min_ratio,
-                    "max_ratio": summary.max_ratio,
-                    "spread": summary.spread,
-                    "pairs_used": summary.pairs_used,
-                    "pairs_skipped": summary.pairs_skipped,
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "min_ratio": summary.min_ratio,
+                "max_ratio": summary.max_ratio,
+                "spread": summary.spread,
+                "pairs_used": summary.pairs_used,
+                "pairs_skipped": summary.pairs_skipped,
+            },
         )
     elif cmd == "lb-pair":
         pair = lower_bound_pair(args.kind, args.n, _box_from(args), args.c)
@@ -250,21 +246,17 @@ def _run(args, argv) -> None:
         probe = threshold_probe(
             args.kind, _box_from(args), args.n, args.c, args.replicas, args.seed
         )
-        _write(
+        _write_json(
             args.out,
-            json.dumps(
-                {
-                    "kind": probe.kind,
-                    "n": probe.n,
-                    "c": probe.c,
-                    "rho": probe.rho_ab,
-                    "kl_mean": probe.kl_mean,
-                    "kl_stderr": probe.kl_stderr,
-                    "test_error": probe.test_error,
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "kind": probe.kind,
+                "n": probe.n,
+                "c": probe.c,
+                "rho": probe.rho_ab,
+                "kl_mean": probe.kl_mean,
+                "kl_stderr": probe.kl_stderr,
+                "test_error": probe.test_error,
+            },
         )
     else:
         raise _UsageError("missing subcommand")

@@ -18,13 +18,13 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFitError, FrontierError, InfeasiblePairError, ValidationError
-from .estimator import LossRecord, SearchConfig, losses, min_distance_fit
-from .filter_kl import kl_estimate, loglik_batch
+from .estimator import LossRecord, losses, min_distance_fit
+from .filter_kl import KLEstimate, increasing_grid, llr_paths
 from .params import (
     ConstraintBox,
     PhiPsiParams,
@@ -47,13 +47,9 @@ class SweepConfig:
     replicas: int
     master_seed: int
     resample_truths: bool = False
-    search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
-            raise ValidationError("n_grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "n_grid", increasing_grid(self.n_grid, "n_grid"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +201,7 @@ def rate_sweep(cfg: SweepConfig):
                 theta = phipsi_to_theta(truth_r)
                 path = sample_paths(theta, n, 1, seed_int)
                 phat = empirical_triple_law(path.observed[0], box.K)
-                fit = min_distance_fit(phat, box, cfg.search)
+                fit = min_distance_fit(phat, box)
                 rec = losses(fit.estimate, truth_r)
                 row.update(
                     loss_phi1=rec.phi1, loss_phi2=rec.phi2, loss_phi3=rec.phi3,
@@ -275,22 +271,19 @@ def threshold_probe(
 ) -> ThresholdProbe:
     """Likelihood-ratio testing on a constructed pair.
 
-    Samples ``replicas`` paths under each hypothesis, classifies each path
-    by the sign of the log-likelihood ratio (exact ties broken by a fair
-    coin), and reports the average error rate together with the MC KL
-    estimate between the two path laws.
+    Samples ``replicas`` paths under each hypothesis (label l with
+    ``derive_seed(seed, 1 + l)``), classifies each path by the sign of the
+    log-likelihood ratio (exact ties broken by a fair coin seeded with
+    ``derive_seed(seed, 3)``), and reports the average error rate with the
+    MC KL estimate read off the label-0 paths, drawn under ``a``.
     """
-    if replicas < 2:
-        raise ValidationError("replicas must be >= 2")
     pair = lower_bound_pair(kind, n, box, c)
-    kl = kl_estimate(pair.a, pair.b, n, replicas, derive_seed(seed, 0))
     rng = np.random.default_rng(derive_seed(seed, 3))
     errors = 0
-    for label, truth in ((0, pair.a), (1, pair.b)):
-        paths = sample_paths(phipsi_to_theta(truth), n, replicas, derive_seed(seed, 1 + label))
-        la = loglik_batch(pair.a, paths.observed)
-        lb = loglik_batch(pair.b, paths.observed)
-        diff = la - lb
+    for label, truth in enumerate((pair.a, pair.b)):
+        diff = llr_paths(pair.a, pair.b, truth, [n], replicas, derive_seed(seed, 1 + label))[:, 0]
+        if label == 0:
+            kl = KLEstimate.of(diff)
         pick_b = (diff < 0) | ((diff == 0) & (rng.random(replicas) < 0.5))
         errors += int(np.sum(pick_b != bool(label)))
     return ThresholdProbe(

@@ -14,9 +14,9 @@ The exact likelihood is computed two independent ways:
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
-these sit a Monte-Carlo estimator of the Kullback-Leibler divergence
-between two parameters' path laws and the structural n * rho^2 factor it
-is compared against.
+these sit ``llr_paths`` (one path sample under one hypothesis, scored under
+two at every requested prefix length), the Monte-Carlo KL estimator between
+two path laws built on it, and the structural n * rho^2 factor.
 """
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ from .simulate import sample_paths
 from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
+
+
+def increasing_grid(values, name: str) -> tuple:
+    """``values`` as a tuple of ints; ValidationError unless nonempty and strictly increasing."""
+    grid = tuple(int(v) for v in values)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(f"{name} must be nonempty and strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +97,9 @@ def _v_scan(pp: PhiPsiParams, y: np.ndarray, checkpoints=None, keep_v: bool = Fa
     prefix log-likelihoods, and the R x n trajectory of V (None unless
     ``keep_v``).
     """
+    cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
+    if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
+        raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     theta = phipsi_to_theta(pp)
     if min(theta.f0.min(), theta.f1.min()) <= 0.0:
         raise ValidationError("v_recursion requires strictly positive emissions")
@@ -96,18 +107,13 @@ def _v_scan(pp: PhiPsiParams, y: np.ndarray, checkpoints=None, keep_v: bool = Fa
     r = r_of_phi((phi1, phi2, phi3))
     a = pp.psi1[y - 1]
     b = pp.psi2[y - 1]
-    loglik = np.log(np.maximum(a[:, 0], LOG_FLOOR))
-    vk = 2.0 * r * b[:, 0] / a[:, 0]
+    # V_0 = 0 (the stationary filter), so step 1 is the general update
+    loglik = np.zeros(y.shape[0])
+    vk = np.zeros(y.shape[0])
     v = np.empty(y.shape) if keep_v else None
-    if keep_v:
-        v[:, 0] = vk
-    cps = list(checkpoints) if checkpoints is not None else []
     prefix = np.empty((y.shape[0], len(cps)))
     ci = 0
-    if cps and cps[0] == 1:
-        prefix[:, 0] = loglik
-        ci = 1
-    for k in range(1, y.shape[1]):
+    for k in range(y.shape[1]):
         ak, bk = a[:, k], b[:, k]
         den = ak + 0.5 * bk * vk
         bad = den <= 0.0
@@ -153,9 +159,9 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
 def loglik_batch(pp: PhiPsiParams, observed: np.ndarray, checkpoints=None):
     """Log-likelihoods of many equal-length paths via the V recursion.
 
-    ``observed`` is an R x n integer matrix.  If ``checkpoints`` (a sorted
-    list of prefix lengths) is given, also returns an R x len(checkpoints)
-    matrix of prefix log-likelihoods.
+    ``observed`` is an R x n integer matrix.  If ``checkpoints`` (strictly
+    increasing prefix lengths in [1, n]) is given, also returns an
+    R x len(checkpoints) matrix of prefix log-likelihoods.
     """
     y = np.asarray(observed, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] == 0:
@@ -170,27 +176,34 @@ class KLEstimate:
 
     mean: float
     stderr: float
-    replicates_used: int
+
+    @classmethod
+    def of(cls, llr: np.ndarray) -> "KLEstimate":
+        """Mean and standard error of per-path log-likelihood ratios."""
+        return cls(mean=float(llr.mean()), stderr=float(llr.std(ddof=1) / np.sqrt(llr.size)))
 
 
-def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n: int, replicates: int, seed) -> KLEstimate:
-    """Average loglik difference over paths drawn under ``a``.
+def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicates: int, seed):
+    """R x len(lengths) log p_a - log p_b on R paths drawn under ``truth`` with ``seed``.
 
-    Every replicate counts: ``loglik_batch`` raises rather than return a
-    non-finite log-likelihood.
+    Column j scores the length-``lengths[j]`` prefixes of the same paths.
     """
     if replicates < 2:
         raise ValidationError("replicates must be >= 2")
-    theta_a = phipsi_to_theta(a)
-    paths = sample_paths(theta_a, n, replicates, seed)
-    la = loglik_batch(a, paths.observed)
-    lb = loglik_batch(b, paths.observed)
-    diff = la - lb
-    return KLEstimate(
-        mean=float(diff.mean()),
-        stderr=float(diff.std(ddof=1) / np.sqrt(diff.size)),
-        replicates_used=int(diff.size),
-    )
+    lengths = increasing_grid(lengths, "n_grid")
+    paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed)
+    _, la = loglik_batch(a, paths.observed, lengths)
+    _, lb = loglik_batch(b, paths.observed, lengths)
+    return la - lb
+
+
+def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n_grid, replicates: int, seed) -> list:
+    """One ``KLEstimate`` per length in ``n_grid``, all off one ``llr_paths`` sample under ``a``.
+
+    The estimates along a grid are therefore correlated.  Every replicate
+    counts: ``loglik_batch`` raises rather than return a non-finite value.
+    """
+    return [KLEstimate.of(col) for col in llr_paths(a, b, a, n_grid, replicates, seed).T]
 
 
 def kl_rho_bound(a: PhiPsiParams, b: PhiPsiParams, n: int) -> float:
@@ -203,6 +216,7 @@ __all__ = [
     "FilterTrace",
     "KLEstimate",
     "forward_filter",
+    "llr_paths",
     "v_recursion",
     "loglik_batch",
     "kl_estimate",

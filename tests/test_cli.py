@@ -6,6 +6,8 @@ import pytest
 
 from hmm_frontier.cli import cli_main
 
+from test_experiments import count_calls
+
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
@@ -125,7 +127,7 @@ class TestProbes:
         assert summary["min_ratio"] > 0
         assert summary["pairs_used"] == 50
 
-    def test_kl_probe(self, capsys, tmp_path):
+    def kl_probe(self, capsys, tmp_path, n_grid):
         import hmm_frontier as hf
 
         pp = hf.theta_to_phipsi(
@@ -138,14 +140,32 @@ class TestProbes:
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
         fa.write_text(pp.to_json())
         fb.write_text(b.to_json())
-        code, out, _ = run(
+        return run(
             capsys, "kl-probe", "--params-a", str(fa), "--params-b", str(fb),
-            "--n-grid", "100,200", "--replicas", "50", "--seed", "3",
+            "--n-grid", n_grid, "--replicas", "50", "--seed", "3",
         )
+
+    def test_kl_probe(self, capsys, tmp_path):
+        code, out, _ = self.kl_probe(capsys, tmp_path, "100,200")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,rho,rho_sq_times_n,kl_mean,kl_stderr,ratio"
         assert len(lines) == 3
+        # every row is a prefix of one path set: the last row is the one-entry run
+        assert self.kl_probe(capsys, tmp_path, "200")[1].splitlines()[1] == lines[2]
+
+    @pytest.mark.parametrize("n_grid", ["200,100", "100,100"])
+    def test_kl_probe_grid_must_increase(self, capsys, tmp_path, n_grid):
+        code, out, err = self.kl_probe(capsys, tmp_path, n_grid)
+        assert code == 1
+        assert out == ""
+        assert "n_grid must be nonempty and strictly increasing" in err
+
+    @pytest.mark.parametrize("n_grid", ["300", "100,200,300"])
+    def test_kl_probe_samples_once(self, capsys, tmp_path, monkeypatch, n_grid):
+        sampled = count_calls(monkeypatch, "sample_paths")
+        assert self.kl_probe(capsys, tmp_path, n_grid)[0] == 0
+        assert len(sampled) == 1
 
     def test_threshold_probe(self, capsys):
         code, out, _ = run(

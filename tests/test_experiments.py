@@ -1,22 +1,47 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import hmm_frontier
 from hmm_frontier import (
     ConstraintBox,
     DegenerateFitError,
     InfeasiblePairError,
     SweepConfig,
+    ValidationError,
+    derive_seed,
+    empirical_triple_law,
+    losses,
     lower_bound_pair,
+    min_distance_fit,
+    phipsi_to_theta,
     r_of_phi,
     rate_sweep,
+    sample_paths,
+    sample_phipsi,
     slope_fit,
     threshold_probe,
     validate_phipsi,
 )
-from hmm_frontier.estimator import SearchConfig
 from hmm_frontier.experiments import sweep_rows_to_csv, SWEEP_COLUMNS
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of the package function ``name`` through every module binding it."""
+    original = getattr(hmm_frontier, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        in_package = module_name.partition(".")[0] == "hmm_frontier"
+        if in_package and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def probe_box():
@@ -106,7 +131,6 @@ class TestRateSweep:
     def test_single_row(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(1000,), replicas=1, master_seed=5,
-            search=SearchConfig(random_starts=0),
         )
         rows = rate_sweep(cfg)
         assert len(rows) == 1
@@ -117,7 +141,6 @@ class TestRateSweep:
     def test_determinism_modulo_wall_time(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(500, 1000), replicas=2, master_seed=7,
-            search=SearchConfig(random_starts=0),
         )
         a = rate_sweep(cfg)
         b = rate_sweep(cfg)
@@ -129,12 +152,31 @@ class TestRateSweep:
     def test_csv_schema(self):
         cfg = SweepConfig(
             box=self.box(), n_grid=(500,), replicas=1, master_seed=1,
-            search=SearchConfig(random_starts=0),
         )
         text = sweep_rows_to_csv(rate_sweep(cfg))
         header = text.splitlines()[0]
         assert header == ",".join(SWEEP_COLUMNS)
         assert len(text.splitlines()) == 2
+
+    def test_resampled_truth_row_recomputes(self):
+        box = self.box()
+        cfg = SweepConfig(
+            box=box, n_grid=(500,), replicas=2, master_seed=3, resample_truths=True,
+        )
+        rows = rate_sweep(cfg)
+        row = rows[1]
+        truth = sample_phipsi(box, derive_seed(3, 1, 1))
+        path = sample_paths(phipsi_to_theta(truth), 500, 1, row["seed"])
+        fit = min_distance_fit(empirical_triple_law(path.observed[0], box.K), box)
+        rec = losses(fit.estimate, truth)
+        assert row["error"] == ""
+        assert row["objective"] == fit.objective
+        for col in ("phi1", "phi2", "phi3", "psi1", "psi2", "pq", "f"):
+            assert row[f"loss_{col}"] == getattr(rec, col)
+
+    def test_grid_must_increase(self):
+        with pytest.raises(ValidationError):
+            SweepConfig(box=self.box(), n_grid=(1000, 500), replicas=1, master_seed=1)
 
 
 class TestSlopeFit:
@@ -181,3 +223,10 @@ class TestThresholdProbe:
         assert probe.rho_ab * math.sqrt(10**4) == pytest.approx(1.0, rel=1e-9)
         assert probe.test_error <= 0.3
         assert probe.kl_mean > 0.5
+
+    def test_one_sample_per_hypothesis(self, monkeypatch):
+        sampled = count_calls(monkeypatch, "sample_paths")
+        scored = count_calls(monkeypatch, "loglik_batch")
+        threshold_probe("psi1", probe_box(), 200, 1.0, 10, 23)
+        assert len(sampled) == 2
+        assert len(scored) == 4

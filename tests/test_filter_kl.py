@@ -144,17 +144,33 @@ class TestVRecursion:
             )
             assert prefix[i, 1] == pytest.approx(full[i], abs=1e-12)
 
+    @pytest.mark.parametrize("checkpoints", [[50, 10], [10, 10], [0, 10], [60], [10, 51], []])
+    def test_bad_checkpoints_raise(self, checkpoints):
+        # unsorted, repeated or out-of-range lengths used to leave np.empty garbage
+        th = worked_theta()
+        batch = sample_paths(th, 50, 3, 11)
+        with pytest.raises(ValidationError):
+            loglik_batch(theta_to_phipsi(th), batch.observed, checkpoints=checkpoints)
+
+    def test_first_step_checkpoint(self):
+        th = worked_theta()
+        pp = theta_to_phipsi(th)
+        batch = sample_paths(th, 20, 4, 12)
+        full, prefix = loglik_batch(pp, batch.observed, checkpoints=[1, 20])
+        np.testing.assert_array_equal(prefix[:, 0], np.log(pp.psi1[batch.observed[:, 0] - 1]))
+        np.testing.assert_array_equal(prefix[:, 1], full)
+
 
 class TestKL:
     def test_self_zero(self):
         pp = theta_to_phipsi(worked_theta())
-        est = kl_estimate(pp, pp, 50, 10, 1)
+        est = kl_estimate(pp, pp, [50], 10, 1)[0]
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
     def test_label_switch_zero(self):
         pp = theta_to_phipsi(worked_theta())
-        est = kl_estimate(pp, switch_labels(pp), 50, 10, 2)
+        est = kl_estimate(pp, switch_labels(pp), [50], 10, 2)[0]
         assert est.mean == pytest.approx(0.0, abs=1e-12)
 
     def test_single_letter_closed_form(self):
@@ -163,7 +179,7 @@ class TestKL:
             phi1=a.phi1, phi2=a.phi2, phi3=a.phi3,
             psi1=[0.36, 0.31, 0.33], psi2=a.psi2,
         )
-        est = kl_estimate(a, b, 1, 4000, 3)
+        est = kl_estimate(a, b, [1], 4000, 3)[0]
         closed = float(np.sum(a.psi1 * np.log(a.psi1 / b.psi1)))
         assert abs(est.mean - closed) <= 3 * est.stderr + 1e-12
 
@@ -171,8 +187,27 @@ class TestKL:
         rng = np.random.default_rng(6)
         a = theta_to_phipsi(positive_theta(rng))
         b = theta_to_phipsi(positive_theta(rng))
-        est = kl_estimate(a, b, 100, 200, 4)
+        est = kl_estimate(a, b, [100], 200, 4)[0]
         assert est.mean >= -3 * est.stderr
+
+    def test_prefix_row_is_prefix_estimate(self):
+        # a prefix row is the estimate on the first n1 symbols of the same paths
+        a = theta_to_phipsi(worked_theta())
+        b = PhiPsiParams(
+            phi1=a.phi1, phi2=a.phi2, phi3=a.phi3,
+            psi1=[0.36, 0.31, 0.33], psi2=a.psi2,
+        )
+        grid = kl_estimate(a, b, [40, 100, 250], 30, 5)
+        observed = sample_paths(phipsi_to_theta(a), 250, 30, 5).observed
+        llr = loglik_batch(a, observed[:, :40]) - loglik_batch(b, observed[:, :40])
+        assert grid[0].mean == float(llr.mean())
+        assert grid[0].stderr == float(llr.std(ddof=1) / np.sqrt(30))
+
+    @pytest.mark.parametrize("n_grid", [[100, 50], [50, 50], []])
+    def test_grid_must_increase(self, n_grid):
+        pp = theta_to_phipsi(worked_theta())
+        with pytest.raises(ValidationError):
+            kl_estimate(pp, pp, n_grid, 10, 1)
 
     def test_rho_bound_arithmetic(self):
         pp = theta_to_phipsi(worked_theta())
