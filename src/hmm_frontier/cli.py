@@ -1,10 +1,21 @@
 """Command-line surface: simulation, estimation, sweeps, and probes.
 
-Every subcommand accepts ``--config FILE`` pointing to a JSON object whose
-keys match the long flag names; explicit flags override config values.
+All outside input reaches typed values through argparse or through one
+file reader, ``_read``.  Every subcommand accepts ``--config FILE``, a JSON
+object whose keys are long flag names (``n-grid`` or ``n_grid``) and whose
+values are what the flag takes: JSON numbers, strings, lists (joined with
+commas) and ``true``/``false`` for switches (``false`` leaves the switch
+off).  The keys become flag tokens placed before the command line and
+parsed by the same parser, so config values are type-checked like flags,
+an unknown key exits 1, and explicit flags win, abbreviations included.
+``--input`` and ``--params-a/-b`` must be given on the command line.
+``--input`` holds one symbol per line, a CSV with a ``y`` header column, or
+a headerless CSV whose last column is read; ``--params-a/-b`` hold
+``{"phi", "psi1", "psi2"}`` or native ``{"p", "q", "f0", "f1"}`` JSON.
+
 Output goes to ``--out`` (stdout when omitted).  Exit codes: 0 on success,
-1 on validation errors or bad usage, 2 on infeasible constructions or
-empty boxes.
+1 on validation errors or bad usage (every input error, with an ``error:``
+line on stderr), 2 on infeasible constructions or empty boxes.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .experiments import (
     threshold_probe,
 )
 from .filter_kl import kl_estimate, kl_rho_bound
-from .params import ConstraintBox, PhiPsiParams, ThetaParams
+from .params import ConstraintBox, PhiPsiParams, ThetaParams, theta_to_phipsi
 from .simulate import sample_path
 from .triple_law import equivalence_ratio_probe, rho
 
@@ -42,8 +53,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _floats(text: str):
-    return [float(x) for x in text.split(",")]
+def _list_of(item):
+    """argparse type: a comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",")]
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+def _read(path: str, parse):
+    """``parse`` the open file; any failure is a ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"cannot read {path}: {detail}") from exc
 
 
 def _write(out_path, text: str) -> None:
@@ -58,29 +85,29 @@ def _write_json(out_path, record: dict) -> None:
     _write(out_path, json.dumps(record, indent=2) + "\n")
 
 
-def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser, argv) -> None:
-    """Fill unset flags from the JSON config file, if one was given."""
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+def _config_tokens(fh, dests) -> list:
+    """Flag tokens for the JSON config object; ``dests`` are the command's flags."""
+    cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise TypeError("config must be a JSON object")
+    tokens = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
+        if key.replace("-", "_") not in dests:
+            raise ValueError(f"unknown key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(x, (str, int, float)) for x in items):
+            raise TypeError(f"{key}: {value!r} is not a flag value")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False:
+            tokens.append(f"{flag}={','.join(map(str, items))}")
+    return tokens
 
 
 def _box_from(args) -> ConstraintBox:
     return ConstraintBox(
-        delta=float(args.delta),
-        epsilon=float(args.epsilon),
-        zeta=float(args.zeta),
-        L=float(args.L),
-        K=int(args.k),
+        delta=args.delta, epsilon=args.epsilon, zeta=args.zeta, L=args.L, K=args.k
     )
 
 
@@ -92,9 +119,22 @@ def _add_box_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3)
 
 
-def _load_phipsi(path: str) -> PhiPsiParams:
-    with open(path, encoding="utf-8") as fh:
-        return PhiPsiParams.from_json(fh.read())
+def _params(fh) -> PhiPsiParams:
+    """Frontier-coordinate JSON, or native ``{"p", "q", "f0", "f1"}`` JSON."""
+    text = fh.read()
+    if "phi" in json.loads(text):
+        return PhiPsiParams.from_json(text)
+    return theta_to_phipsi(ThetaParams.from_json(text))
+
+
+def _observations(fh) -> np.ndarray:
+    """One symbol per line, CSV with a ``y`` header column, or headerless CSV
+    read by its last column."""
+    rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    column = -1
+    if rows and "y" in rows[0]:
+        column = rows.pop(0).index("y")
+    return np.array([int(row[column]) for row in rows])
 
 
 def build_parser() -> _Parser:
@@ -105,15 +145,15 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--p", type=float, default=0.2)
     p.add_argument("--q", type=float, default=0.3)
-    p.add_argument("--f0", type=str, default="0.5,0.3,0.2")
-    p.add_argument("--f1", type=str, default="0.2,0.3,0.5")
+    p.add_argument("--f0", type=_list_of(float), default="0.5,0.3,0.2")
+    p.add_argument("--f1", type=_list_of(float), default="0.2,0.3,0.5")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="fit parameters to observations")
     p.add_argument("--config")
-    p.add_argument("--input", required=True, help="one symbol per line, or CSV with a y column")
+    p.add_argument("--input", required=True, help="one symbol per line, or CSV (y or last column)")
     _add_box_flags(p)
     p.add_argument("--starts", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -122,7 +162,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rate-sweep", help="loss-vs-n sweep of the estimator")
     p.add_argument("--config")
     _add_box_flags(p)
-    p.add_argument("--n-grid", type=str, default="1000,10000,100000")
+    p.add_argument("--n-grid", type=_list_of(int), default="1000,10000,100000")
     p.add_argument("--replicas", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="loss_phi2")
@@ -133,7 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--params-a", required=True)
     p.add_argument("--params-b", required=True)
-    p.add_argument("--n-grid", type=str, default="100,200,400,700,1000")
+    p.add_argument("--n-grid", type=_list_of(int), default="100,200,400,700,1000")
     p.add_argument("--replicas", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -165,26 +205,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_observations(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        fh.seek(0)
-        if "," in first or first.strip().lower() in ("y", "x,y"):
-            rows = list(csv.DictReader(fh))
-            if rows and "y" in rows[0]:
-                return np.array([int(r["y"]) for r in rows])
-            fh.seek(0)
-            return np.array([int(line.split(",")[-1]) for line in fh if line.strip()])
-        return np.array([int(line) for line in fh if line.strip()])
-
-
-def _run(args, argv) -> None:
+def _run(args) -> None:
     cmd = args.command
     if cmd == "simulate":
-        theta = ThetaParams(p=args.p, q=args.q, f0=_floats(args.f0), f1=_floats(args.f1))
+        theta = ThetaParams(p=args.p, q=args.q, f0=args.f0, f1=args.f1)
         _write(args.out, sample_path(theta, args.n, args.seed).to_csv())
     elif cmd == "estimate":
-        observed = _read_observations(args.input)
+        observed = _read(args.input, _observations)
         box = _box_from(args)
         theta, fit = estimate_theta(
             observed, box, SearchConfig(random_starts=args.starts, seed=args.seed)
@@ -204,7 +231,7 @@ def _run(args, argv) -> None:
     elif cmd == "rate-sweep":
         cfg = SweepConfig(
             box=_box_from(args),
-            n_grid=tuple(int(x) for x in str(args.n_grid).split(",")),
+            n_grid=tuple(args.n_grid),
             replicas=args.replicas,
             master_seed=args.seed,
             resample_truths=args.resample_truths,
@@ -217,12 +244,12 @@ def _run(args, argv) -> None:
         except FrontierError:
             pass
     elif cmd == "kl-probe":
-        a = _load_phipsi(args.params_a)
-        b = _load_phipsi(args.params_b)
+        a = _read(args.params_a, _params)
+        b = _read(args.params_b, _params)
         d = rho(a, b)
-        grid = [int(x) for x in str(args.n_grid).split(",")]
+        grid = args.n_grid
         lines = ["n,rho,rho_sq_times_n,kl_mean,kl_stderr,ratio"]
-        for n, kl in zip(grid, kl_estimate(a, b, grid, args.replicas, [int(args.seed), 0])):
+        for n, kl in zip(grid, kl_estimate(a, b, grid, args.replicas, [args.seed, 0])):
             bound = kl_rho_bound(a, b, n)
             ratio = kl.mean / bound if bound > 0 else float("nan")
             lines.append(f"{n},{d!r},{bound!r},{kl.mean!r},{kl.stderr!r},{ratio!r}")
@@ -267,10 +294,13 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             raise _UsageError("missing subcommand")
-        _load_config(args, parser, argv)
-        _run(args, argv)
+        if args.config:
+            dests = vars(args).keys() - {"command"}
+            config = _read(args.config, lambda fh: _config_tokens(fh, dests))
+            args = parser.parse_args([args.command, *config, *argv[1:]])
+        _run(args)
         return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

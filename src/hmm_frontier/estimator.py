@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ValidationError
+from .errors import NonInvertibleMomentError, ValidationError
 from .params import (
     ConstraintBox,
     PhiPsiParams,
@@ -36,7 +36,7 @@ from .params import (
     validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law
-from .triple_law import TripleLaw, triple_law_phipsi, triple_tensor
+from .triple_law import MomentVector, TripleLaw, phi_of_m, triple_law_phipsi, triple_tensor
 
 _SIGN_TOL = 1e-12
 _SIMPLEX_STEP = 0.05
@@ -79,8 +79,9 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
     residuals are rank-one with common direction psi2 and eigenvalues
     m1 and m2; m3 comes from contracting the remaining third-order
     residual against psi2^(x3).  Returns ``(params, used_fallback)``:
-    when the inferred moments are non-invertible (m1 ~ 0 or m2 <= 0) a
-    box-center parameter with the same psi1 is returned instead, flagged.
+    when the inferred moments are non-invertible (m1 ~ 0, m2 <= 0, or
+    ``phi_of_m`` rejects them) or project outside the box, a box-center
+    parameter with the same psi1 is returned instead, flagged.
     """
     pn = phat.probs
     mass = float(pn.sum())
@@ -117,12 +118,10 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
 
     if abs(m1) < 1e-10 or m2 <= 0.0:
         return _box_center(box, psi1), True
-
-    disc = 4.0 * m1 * m1 * m2 + m3 * m3
-    phi1 = m3 / np.sqrt(disc)
-    phi2 = m2 / m1
-    phi3 = np.sqrt(disc) / m2
-    pp = _project(phi1, phi2, phi3, psi1, v, box)
+    try:
+        pp = _project(*phi_of_m(MomentVector(m1=m1, m2=m2, m3=m3)), psi1, v, box)
+    except NonInvertibleMomentError:
+        pp = None
     if pp is None:
         return _box_center(box, psi1), True
     return pp, False

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hmm_frontier import ThetaParams, estimate_theta, theta_to_phipsi
 from hmm_frontier.cli import cli_main
 
 from test_experiments import count_calls
@@ -115,6 +116,128 @@ class TestConfigAndErrors:
         code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--n", "6")
         assert len(out.splitlines()) == 7
 
+    def test_abbreviated_flag_overrides_config(self, capsys, tmp_path):
+        cfg = write(tmp_path, "cfg.json", json.dumps({"n": 3, "seed": 8}))
+        code, out, _ = run(capsys, "simulate", "--config", cfg, "--se", "5")
+        assert code == 0
+        assert out == run(capsys, "simulate", "--n", "3", "--seed", "5")[1]
+        assert out != run(capsys, "simulate", "--n", "3", "--seed", "8")[1]
+
+    def test_explicit_flag_overrides_config(self, capsys, tmp_path):
+        cfg = write(tmp_path, "cfg.json", json.dumps({"c": 0.5, "n": 10**7}))
+        code, out, _ = run(capsys, "lb-pair", "--config", cfg, "--c", "0.01")
+        assert code == 0
+        assert out == run(capsys, "lb-pair", "--n", "10000000", "--c", "0.01")[1]
+
+    def test_config_lists_and_switches_match_flags(self, capsys, tmp_path):
+        sweep = [
+            "rate-sweep", "--replicas", "1", "--epsilon", "0.3", "--zeta", "0.3", "--seed", "1",
+        ]
+        on = write(tmp_path, "on.json", json.dumps({"n-grid": [500], "resample-truths": True}))
+        off = write(tmp_path, "off.json", json.dumps({"n_grid": [500], "resample_truths": False}))
+        by_flags = run(capsys, *sweep, "--n-grid", "500", "--resample-truths")
+        assert by_flags[0] == 0
+        switch_off = without_wall_ms(run(capsys, *sweep, "--n-grid", "500"))
+        assert without_wall_ms(by_flags) != switch_off
+        assert without_wall_ms(run(capsys, *sweep, "--config", on)) == without_wall_ms(by_flags)
+        assert without_wall_ms(run(capsys, *sweep, "--config", off)) == switch_off
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def without_wall_ms(result):
+    """(exit code, stdout, stderr) of a rate-sweep with the timing column dropped."""
+    code, out, err = result
+    rows = list(csv.reader(out.splitlines()))
+    i = rows[0].index("wall_ms")
+    return code, [row[:i] + row[i + 1:] for row in rows], err
+
+
+def native_params(tmp_path):
+    theta = ThetaParams(p=0.45, q=0.45, f0=[0.4, 0.3, 0.3], f1=[0.3, 0.3, 0.4])
+    return write(tmp_path, "native.json", theta.to_json())
+
+
+BAD_INPUTS = {
+    "n-grid-not-int": lambda d: ["rate-sweep", "--n-grid", "1000,x"],
+    "n-grid-empty": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", native_params(d), "--n-grid", "",
+    ],
+    "f0-not-float": lambda d: ["simulate", "--f0", "0.5,x,0.2"],
+    "config-n-grid": lambda d: [
+        "rate-sweep", "--config", write(d, "c.json", json.dumps({"n-grid": "1000,x"})),
+    ],
+    "config-n": lambda d: ["simulate", "--config", write(d, "c.json", json.dumps({"n": "x"}))],
+    # a prefix of --replicas: parsed as a flag it would be taken as an abbreviation
+    "config-unknown-key": lambda d: [
+        "rate-sweep", "--config", write(d, "c.json", json.dumps({"replica": 1})),
+    ],
+    "config-not-object": lambda d: ["simulate", "--config", write(d, "c.json", "[1, 2]")],
+    "config-null-value": lambda d: [
+        "simulate", "--config", write(d, "c.json", json.dumps({"out": None})),
+    ],
+    "missing-input": lambda d: ["estimate", "--input", str(d / "missing.txt")],
+    "missing-params-a": lambda d: [
+        "kl-probe", "--params-a", str(d / "missing.json"), "--params-b", native_params(d),
+    ],
+    "malformed-params": lambda d: [
+        "kl-probe", "--params-a", write(d, "bad.json", '{"phi": [0.1,'),
+        "--params-b", native_params(d),
+    ],
+    "params-missing-key": lambda d: [
+        "kl-probe", "--params-a", write(d, "bad.json", '{"p": 0.2, "q": 0.3}'),
+        "--params-b", native_params(d),
+    ],
+    "non-integer-observation": lambda d: [
+        "estimate", "--input", write(d, "obs.txt", "1\n2\n1.5\n0\n"),
+    ],
+    "csv-header-without-y": lambda d: [
+        "estimate", "--input", write(d, "obs.csv", "a,b\n0,1\n1,2\n"),
+    ],
+    "csv-short-row": lambda d: ["estimate", "--input", write(d, "obs.csv", "x,y\n0,1\n1\n")],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_a_named_error(capsys, tmp_path, case):
+    code, out, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_observation_formats_read_alike(capsys, tmp_path, monkeypatch):
+    import hmm_frontier.cli as cli
+
+    symbols = [1, 3, 2, 2, 1, 3, 3, 2, 1, 1, 2, 3] * 25
+    read = []
+
+    def recording(observed, *args, **kwargs):
+        read.append(observed.tolist())
+        return estimate_theta(observed, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_theta", recording)
+    files = {
+        "plain.txt": "".join(f"{y}\n" for y in symbols),
+        "xy.csv": "x,y\n" + "".join(f"{i % 2},{y}\n" for i, y in enumerate(symbols)),
+        "headerless.csv": "".join(f"{i % 2},{y}\n" for i, y in enumerate(symbols)),
+        "yx.csv": "y,x\n" + "".join(f"{y},{i % 2}\n" for i, y in enumerate(symbols)),
+    }
+    outs = []
+    for name, text in files.items():
+        code, out, _ = run(
+            capsys, "estimate", "--input", write(tmp_path, name, text),
+            "--epsilon", "0.3", "--zeta", "0.3", "--starts", "0",
+        )
+        assert code == 0
+        outs.append(out)
+    assert read == [symbols] * len(files)
+    assert outs == [outs[0]] * len(files)
+
 
 class TestProbes:
     def test_equiv_probe(self, capsys):
@@ -153,6 +276,21 @@ class TestProbes:
         assert len(lines) == 3
         # every row is a prefix of one path set: the last row is the one-entry run
         assert self.kl_probe(capsys, tmp_path, "200")[1].splitlines()[1] == lines[2]
+
+    def test_kl_probe_reads_native_params(self, capsys, tmp_path):
+        theta = ThetaParams(p=0.45, q=0.45, f0=[0.4, 0.3, 0.3], f1=[0.3, 0.3, 0.4])
+        b = ThetaParams(p=0.4, q=0.45, f0=[0.4, 0.3, 0.3], f1=[0.3, 0.3, 0.4])
+        b_file = write(tmp_path, "b.json", b.to_json())
+        outputs = [
+            run(
+                capsys, "kl-probe", "--params-a", write(tmp_path, "a.json", text),
+                "--params-b", b_file, "--n-grid", "100,200", "--replicas", "20", "--seed", "3",
+            )
+            for text in (theta.to_json(), theta_to_phipsi(theta).to_json())
+        ]
+        assert outputs[0][0] == 0
+        assert float(outputs[0][1].splitlines()[2].split(",")[1]) > 0  # rho(a, b)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("n_grid", ["200,100", "100,100"])
     def test_kl_probe_grid_must_increase(self, capsys, tmp_path, n_grid):

@@ -30,3 +30,27 @@ def test_traced_names_resolve():
             owner = getattr(owner, part)
         assert callable(owner), f"{name} is not callable"
     assert set(tracer.ATTRIBUTES) <= set(tracer.TRACED)
+
+
+def test_traced_attributes_recorded(tmp_path):
+    """Every attribute span records its attributes on a tiny sweep and probe.
+
+    The attribute functions read arguments and ``FitResult`` fields by name,
+    so renaming one of those fails here instead of in the benchmark.
+    """
+    import hmm_frontier.cli as cli
+
+    tracer = _load_tracer()
+    commands = (
+        ["rate-sweep", "--n-grid", "500", "--replicas", "1", "--epsilon", "0.3",
+         "--zeta", "0.3", "--out", str(tmp_path / "sweep.csv")],
+        ["threshold-probe", "--n", "300", "--c", "0", "--replicas", "4",
+         "--out", str(tmp_path / "probe.json")],
+    )
+    with tracer.Tracer(tracer.TRACED) as traced:
+        for argv in commands:
+            assert cli.cli_main(argv) == 0
+    summary = traced.summary()
+    for name in tracer.ATTRIBUTES:
+        assert name in summary, f"{name} was not called"
+        assert len(summary[name]["attrs"]) == summary[name]["calls"] > 0, name
