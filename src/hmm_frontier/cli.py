@@ -74,11 +74,15 @@ def _read(path: str, parse):
 
 
 def _write(out_path, text: str) -> None:
-    if out_path:
+    """``text`` to ``out_path`` (stdout when empty); a failed write is a ValidationError."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _write_json(out_path, record: dict) -> None:

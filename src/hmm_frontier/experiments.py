@@ -28,9 +28,10 @@ from .filter_kl import KLEstimate, increasing_grid, llr_paths
 from .params import (
     ConstraintBox,
     PhiPsiParams,
-    fallback_direction,
+    exists_witness,
     phipsi_to_theta,
     sample_phipsi,
+    validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law, sample_paths
 from .triple_law import r_of_phi, rho
@@ -74,18 +75,10 @@ class HypothesisPair:
                 "a": json.loads(self.a.to_json()),
                 "b": json.loads(self.b.to_json()),
                 "separation": {
-                    "phi1": self.separation.phi1,
-                    "phi2": self.separation.phi2,
-                    "phi3": self.separation.phi3,
-                    "psi1": self.separation.psi1,
-                    "psi2": self.separation.psi2,
+                    k: getattr(self.separation, k) for k in ("phi1", "phi2", "phi3", "psi1", "psi2")
                 },
             }
         )
-
-
-def _witness_psi(K: int):
-    return np.full(K, 1.0 / K), fallback_direction(K)
 
 
 def _member(phi, psi1, psi2, kind: str) -> PhiPsiParams:
@@ -103,7 +96,9 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
 
     Feasibility inequalities are checked and never silently clipped:
     R <= delta <= 1/6 for phi1_phi3, R <= epsilon <= 1/3 for phi2,
-    K > 2 for psi2, plus the compatibility condition on zeta.
+    K > 2 for psi2, plus the compatibility condition on zeta.  An empty box
+    raises NoMemberError; a member outside the box, InfeasiblePairError
+    naming the first inequality of ``validate_phipsi`` that fails.
     """
     if kind not in PAIR_KINDS:
         raise ValidationError(f"unknown pair kind {kind!r}")
@@ -115,8 +110,9 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
         raise InfeasiblePairError(
             f"zeta={box.zeta} exceeds compatibility bound {box.compatibility_bound}"
         )
+    witness = exists_witness(box)  # raises NoMemberError on an empty box
     d, e, z = box.delta, box.epsilon, box.zeta
-    psi1, psi2 = _witness_psi(box.K)
+    psi1, psi2 = witness.psi1, witness.psi2
     root_n = math.sqrt(n)
     S = 0.0
 
@@ -156,6 +152,10 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
         a = _member((1.0 - 3.0 * d, e, z), psi1, psi2, kind)
         b = _member((1.0 - 3.0 * d, e, z), psi1, tilde, kind)
 
+    for name, member in (("a", a), ("b", b)):
+        failed = [check.name for check in validate_phipsi(member, box).checks if not check.passed]
+        if failed:
+            raise InfeasiblePairError(f"{kind} member {name} outside the box: {failed[0]}")
     if kind in ("phi1_phi3", "phi2"):
         gap = abs(r_of_phi(a.phi) - r_of_phi(b.phi))
         if gap > 1e-12:

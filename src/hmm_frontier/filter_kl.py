@@ -7,10 +7,11 @@ The exact likelihood is computed two independent ways:
   the oracle the V recursion is tested against;
 * the recursion on V_k = phi3 (P_k(0) - P_k(1) - phi1) in frontier
   coordinates, whose predictive density for the next symbol is
-  psi1(y) + V_k psi2(y) / 2.  One loop (``_v_scan``) runs it over the rows
-  of an R x n symbol matrix: ``loglik_batch`` scores many paths at once
-  (with optional prefix checkpoints), and ``v_recursion`` runs it on one
-  path and also returns the V and filter trajectories.
+  psi1(y) + V_k psi2(y) / 2.  One loop (``_v_scan``) runs it for H stacked
+  hypotheses over the rows of an R x n symbol matrix: ``loglik_batch``
+  scores many paths under one or several hypotheses in one pass (with
+  optional prefix checkpoints), and ``v_recursion`` runs it on one path and
+  also returns the V and filter trajectories.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -90,45 +91,49 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik), impossible=impossible)
 
 
-def _v_scan(pp: PhiPsiParams, y: np.ndarray, checkpoints=None, keep_v: bool = False):
-    """The V recursion run over the rows of an R x n symbol matrix.
+def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
+    """The V recursion of H hypotheses over the rows of an R x n symbol matrix.
 
-    Returns the R path log-likelihoods, the R x len(checkpoints) matrix of
-    prefix log-likelihoods, and the R x n trajectory of V (None unless
-    ``keep_v``).
+    Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
+    denominator is the predictive density, with the four coefficients
+    gathered by the step's symbols from K-long tables, so no R x n float
+    array is built.  Returns the H x R log-likelihoods, the
+    H x R x len(checkpoints) prefix log-likelihoods and the H x R x n
+    trajectory of V (None unless ``keep_v``).
     """
     cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
     if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
-    theta = phipsi_to_theta(pp)
-    if min(theta.f0.min(), theta.f1.min()) <= 0.0:
-        raise ValidationError("v_recursion requires strictly positive emissions")
-    phi1, phi2, phi3 = pp.phi1, pp.phi2, pp.phi3
-    r = r_of_phi((phi1, phi2, phi3))
-    a = pp.psi1[y - 1]
-    b = pp.psi2[y - 1]
+    tables = []
+    for pp in pps:
+        theta = phipsi_to_theta(pp)
+        if min(theta.f0.min(), theta.f1.min()) <= 0.0:
+            raise ValidationError("v_recursion requires strictly positive emissions")
+        (phi1, phi2, phi3), r, psi1, psi2 = pp.phi, r_of_phi(pp.phi), pp.psi1, pp.psi2
+        tables.append((phi2 * (psi1 - phi1 * phi3 * psi2), 2.0 * r * psi2, 0.5 * psi2, psi1))
+    coef = np.stack(tables, axis=1)  # alpha, beta, gamma, delta: 4 x H x K
     # V_0 = 0 (the stationary filter), so step 1 is the general update
-    loglik = np.zeros(y.shape[0])
-    vk = np.zeros(y.shape[0])
-    v = np.empty(y.shape) if keep_v else None
-    prefix = np.empty((y.shape[0], len(cps)))
+    loglik = np.zeros((len(tables), y.shape[0]))
+    v = np.zeros(loglik.shape)
+    trace = np.empty(loglik.shape + y.shape[1:]) if keep_v else None
+    prefix = np.empty(loglik.shape + (len(cps),))
     ci = 0
     for k in range(y.shape[1]):
-        ak, bk = a[:, k], b[:, k]
-        den = ak + 0.5 * bk * vk
+        alpha, beta, gamma, delta = np.take(coef, y[:, k] - 1, axis=2)
+        den = delta + gamma * v
         bad = den <= 0.0
         if np.any(bad):
             raise NumericalDegeneracyError(
                 f"nonpositive predictive density {den[bad][0]} at step {k + 1}", step=k + 1
             )
         loglik = loglik + np.log(np.maximum(den, LOG_FLOOR))
-        vk = (phi2 * (ak - phi1 * phi3 * bk) * vk + 2.0 * r * bk) / den
+        v = (alpha * v + beta) / den
         if keep_v:
-            v[:, k] = vk
+            trace[:, :, k] = v
         if ci < len(cps) and cps[ci] == k + 1:
-            prefix[:, ci] = loglik
+            prefix[:, :, ci] = loglik
             ci += 1
-    return loglik, prefix, v
+    return loglik, prefix, trace
 
 
 def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
@@ -147,26 +152,31 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
     y = np.asarray(observed, dtype=np.int64)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("observed must be a nonempty vector")
-    loglik, _, v = _v_scan(pp, y[None, :], keep_v=True)
-    v = v[0]
+    loglik, _, v = _v_scan([pp], y[None, :], keep_v=True)
+    v = v[0, 0]
     if pp.phi3 > 0.0:
         pred1 = 0.5 * (1.0 - pp.phi1 - v / pp.phi3)
     else:
         pred1 = np.full(y.size, 0.5 * (1.0 - pp.phi1))
-    return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik[0]))
+    return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik[0, 0]))
 
 
-def loglik_batch(pp: PhiPsiParams, observed: np.ndarray, checkpoints=None):
+def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
     """Log-likelihoods of many equal-length paths via the V recursion.
 
     ``observed`` is an R x n integer matrix.  If ``checkpoints`` (strictly
     increasing prefix lengths in [1, n]) is given, also returns an
-    R x len(checkpoints) matrix of prefix log-likelihoods.
+    R x len(checkpoints) matrix of prefix log-likelihoods.  ``pp`` is one
+    ``PhiPsiParams`` or a sequence of H, scored in one pass; then every
+    result gains a leading axis of length H, row h as if scored alone.
     """
     y = np.asarray(observed, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValidationError("observed must be a nonempty R x n matrix")
-    loglik, prefix, _ = _v_scan(pp, y, checkpoints)
+    single = isinstance(pp, PhiPsiParams)
+    loglik, prefix, _ = _v_scan([pp] if single else pp, y, checkpoints)
+    if single:
+        loglik, prefix = loglik[0], prefix[0]
     return loglik if checkpoints is None else (loglik, prefix)
 
 
@@ -192,8 +202,7 @@ def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicates: int,
         raise ValidationError("replicates must be >= 2")
     lengths = increasing_grid(lengths, "n_grid")
     paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed)
-    _, la = loglik_batch(a, paths.observed, lengths)
-    _, lb = loglik_batch(b, paths.observed, lengths)
+    _, (la, lb) = loglik_batch([a, b], paths.observed, lengths)
     return la - lb
 
 

@@ -209,22 +209,6 @@ class ConstraintBox:
         """Largest |phi2| compatible with the box (spectral gap and p,q >= delta)."""
         return min(1.0 - 2.0 * self.delta, 1.0 - self.L)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "epsilon": self.epsilon,
-                "zeta": self.zeta,
-                "L": self.L,
-                "K": self.K,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstraintBox":
-        d = json.loads(text)
-        return cls(d["delta"], d["epsilon"], d["zeta"], d["L"], int(d["K"]))
-
 
 def fallback_direction(K: int) -> np.ndarray:
     """Canonical unit direction with zero sum: +1 on odd k < K, -1 on even k."""

@@ -35,6 +35,13 @@ class TestSimulate:
         assert code == 0
         assert len(out_file.read_text().splitlines()) == 11
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.csv"
+        code, out, err = run(capsys, "simulate", "--n", "5", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}:")
+
     def test_invalid_density(self, capsys):
         code, _, err = run(capsys, "simulate", "--f0", "0.9,0.9,0.2")
         assert code == 1
@@ -85,6 +92,12 @@ class TestLbPair:
         pair = json.loads(out)
         assert pair["R"] == pytest.approx(0.07905694, abs=1e-8)
         assert pair["kind"] == "phi1_phi3"
+
+    def test_empty_box_exit_2(self, capsys):
+        code, out, err = run(capsys, "lb-pair", "--kind", "psi1", "--L", "0.9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infeasible:") and "box is empty" in err
 
     def test_infeasible_exit_2(self, capsys):
         code, _, err = run(
@@ -302,8 +315,10 @@ class TestProbes:
     @pytest.mark.parametrize("n_grid", ["300", "100,200,300"])
     def test_kl_probe_samples_once(self, capsys, tmp_path, monkeypatch, n_grid):
         sampled = count_calls(monkeypatch, "sample_paths")
+        scored = count_calls(monkeypatch, "loglik_batch")
         assert self.kl_probe(capsys, tmp_path, n_grid)[0] == 0
         assert len(sampled) == 1
+        assert len(scored) == 1
 
     def test_threshold_probe(self, capsys):
         code, out, _ = run(

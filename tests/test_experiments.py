@@ -9,6 +9,7 @@ from hmm_frontier import (
     ConstraintBox,
     DegenerateFitError,
     InfeasiblePairError,
+    NoMemberError,
     SweepConfig,
     ValidationError,
     derive_seed,
@@ -25,7 +26,7 @@ from hmm_frontier import (
     threshold_probe,
     validate_phipsi,
 )
-from hmm_frontier.experiments import sweep_rows_to_csv, SWEEP_COLUMNS
+from hmm_frontier.experiments import PAIR_KINDS, sweep_rows_to_csv, SWEEP_COLUMNS
 
 
 def count_calls(monkeypatch, name):
@@ -117,6 +118,42 @@ class TestLowerBoundPair:
             lower_bound_pair(
                 "phi1_phi3", 10**8, ConstraintBox(0.2, 0.2, 0.1, 0.3, 3), 0.001
             )  # delta > 1/6
+
+    def test_members_in_box(self):
+        # the draws of criterion 10: every pair returned lies in its box
+        rng = np.random.default_rng(110)
+        returned = 0
+        for i in range(300):
+            box = ConstraintBox(
+                delta=rng.uniform(0.02, 1 / 6),
+                epsilon=rng.uniform(0.05, 1 / 3),
+                zeta=rng.uniform(0.02, 0.1),
+                L=0.3,
+                K=3,
+            )
+            n = int(10 ** rng.uniform(4, 8))
+            c = rng.uniform(0.0, 0.005)
+            try:
+                pair = lower_bound_pair(PAIR_KINDS[i % 4], n, box, c)
+            except InfeasiblePairError:
+                continue
+            returned += 1
+            assert validate_phipsi(pair.a, box).all_pass
+            assert validate_phipsi(pair.b, box).all_pass
+        assert returned > 100
+
+    def test_member_outside_box_is_infeasible(self):
+        # R = 0.005 / (0.1 * 0.3 * 0.05**2 * 1e3) = 0.067 <= epsilon, but b has
+        # phi2 = epsilon + R > 1/3 at phi1 = 1 - 3 delta, so q < delta
+        box = ConstraintBox(delta=0.1, epsilon=0.3, zeta=0.05, L=0.3, K=3)
+        with pytest.raises(InfeasiblePairError, match="member b outside the box: min_transition"):
+            lower_bound_pair("phi2", 10**6, box, 0.005)
+
+    def test_empty_box_has_no_pair(self):
+        # phi2_max = 1 - L = 0.1 < epsilon = 0.2
+        box = ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.9, K=3)
+        with pytest.raises(NoMemberError):
+            lower_bound_pair("psi1", 10**6, box, 0.01)
 
     def test_psi2_renormalized(self):
         pair = lower_bound_pair("psi2", 10**5, probe_box(), 0.01)
@@ -229,4 +266,4 @@ class TestThresholdProbe:
         scored = count_calls(monkeypatch, "loglik_batch")
         threshold_probe("psi1", probe_box(), 200, 1.0, 10, 23)
         assert len(sampled) == 2
-        assert len(scored) == 4
+        assert len(scored) == 2  # one pass scores both hypotheses

@@ -161,6 +161,44 @@ class TestVRecursion:
         np.testing.assert_array_equal(prefix[:, 1], full)
 
 
+class TestStackedScan:
+    def pair(self):
+        a = theta_to_phipsi(worked_theta())
+        b = PhiPsiParams(
+            phi1=a.phi1, phi2=a.phi2, phi3=a.phi3,
+            psi1=[0.36, 0.31, 0.33], psi2=a.psi2,
+        )
+        return a, b, sample_paths(phipsi_to_theta(a), 60, 5, 13).observed
+
+    def test_stack_equals_single_calls(self):
+        a, b, y = self.pair()
+        np.testing.assert_array_equal(
+            loglik_batch([a, b], y), np.stack([loglik_batch(a, y), loglik_batch(b, y)])
+        )
+        full, prefix = loglik_batch([a, b], y, [7, 30, 60])
+        singles = [loglik_batch(pp, y, [7, 30, 60]) for pp in (a, b)]
+        assert full.shape == (2, 5) and prefix.shape == (2, 5, 3)
+        np.testing.assert_array_equal(full, np.stack([s[0] for s in singles]))
+        np.testing.assert_array_equal(prefix, np.stack([s[1] for s in singles]))
+
+    def test_one_member_gains_leading_axis(self):
+        a, _, y = self.pair()
+        np.testing.assert_array_equal(loglik_batch([a], y), loglik_batch(a, y)[None])
+        full, prefix = loglik_batch([a], y, [60])
+        single = loglik_batch(a, y, [60])
+        np.testing.assert_array_equal(full, single[0][None])
+        np.testing.assert_array_equal(prefix, single[1][None])
+
+    def test_zero_emission_member_raises_as_alone(self):
+        a, _, y = self.pair()
+        zero = theta_to_phipsi(ThetaParams(p=0.3, q=0.4, f0=[0.6, 0.4, 0.0], f1=[0.2, 0.3, 0.5]))
+        with pytest.raises(ValidationError) as alone:
+            loglik_batch(zero, y)
+        with pytest.raises(ValidationError) as stacked:
+            loglik_batch([a, zero], y)
+        assert str(stacked.value) == str(alone.value)
+
+
 class TestKL:
     def test_self_zero(self):
         pp = theta_to_phipsi(worked_theta())
