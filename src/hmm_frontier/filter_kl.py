@@ -109,7 +109,8 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
         theta = phipsi_to_theta(pp)
         if min(theta.f0.min(), theta.f1.min()) <= 0.0:
             raise ValidationError("v_recursion requires strictly positive emissions")
-        (phi1, phi2, phi3), r, psi1, psi2 = pp.phi, r_of_phi(pp.phi), pp.psi1, pp.psi2
+        phi1, phi2, phi3 = pp.phi
+        psi1, psi2, r = pp.psi1, pp.psi2, r_of_phi(pp.phi)
         tables.append((phi2 * (psi1 - phi1 * phi3 * psi2), 2.0 * r * psi2, 0.5 * psi2, psi1))
     coef = np.stack(tables, axis=1)  # alpha, beta, gamma, delta: 4 x H x K
     # V_0 = 0 (the stationary filter), so step 1 is the general update

@@ -32,7 +32,6 @@ from hmm_frontier.cli import cli_main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 STREAMS = ("stdout", "stderr", "out")
-MASKED_COLUMNS = ("wall_ms",)
 
 
 def load_manifest() -> dict:
@@ -40,16 +39,15 @@ def load_manifest() -> dict:
 
 
 def mask(text: str) -> str:
-    """``text`` with every CSV column named in ``MASKED_COLUMNS`` set to ``*``."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or not set(MASKED_COLUMNS) & set(rows[0]):
+    """``text`` with the values of a CSV ``wall_ms`` column set to ``*``."""
+    if "wall_ms" not in text.partition("\n")[0]:
         return text
-    cols = [i for i, name in enumerate(rows[0]) if name in MASKED_COLUMNS]
+    header, *rows = csv.reader(io.StringIO(text))
+    col = header.index("wall_ms")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    for row in rows[1:]:
-        writer.writerow(["*" if i in cols else v for i, v in enumerate(row)])
+    csv.writer(buf, lineterminator="\n").writerows(
+        [header] + [row[:col] + ["*"] + row[col + 1:] for row in rows]
+    )
     return buf.getvalue()
 
 
