@@ -192,8 +192,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lb-pair", help="construct a two-point hypothesis pair")
     p.add_argument("--config")
     p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
-    p.add_argument("--n", type=int, default=10**6)
-    p.add_argument("--c", type=float, default=0.01)
+    # threshold-probe's defaults: a bare lb-pair builds the pair it tests
+    p.add_argument("--n", type=int, default=10**5)
+    p.add_argument("--c", type=float, default=0.001)
     _add_box_flags(p)
     p.add_argument("--out")
 

@@ -2,9 +2,11 @@
 
 The hidden chain starts from its stationary distribution; observations are
 conditionally independent given the hidden states.  All sampling is driven
-by numpy ``SeedSequence`` so that replica r of a sweep uses the derived
-seed ``SeedSequence([master_seed, r])`` and results are reproducible
-regardless of scheduling.
+by explicit seeds (``derive_seed`` builds ``SeedSequence([master_seed, *keys])``;
+the path of sweep row ``(n, rep)`` uses ``[seed, n, rep]``), so results are
+reproducible regardless of scheduling.  Within one ``sample_paths`` seed the
+stream is: ``count`` initial uniforms, then ``(n-1)*count`` transition
+uniforms time-major, then ``count*n`` emission uniforms path-major.
 """
 
 from __future__ import annotations
@@ -67,10 +69,18 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
     return PathSample(hidden=batch.hidden[0], observed=batch.observed[0], seed=seed)
 
 
+# Block sizes bound the temporaries; the stream order does not depend on them.
+_STEP_BLOCK = 4096  # hidden-chain steps per transition draw
+_EMIT_BLOCK = 1 << 20  # emission uniforms per draw (whole rows, at least one)
+
+
 def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
     """Vectorized sampler: `count` independent stationary paths of length n.
 
-    Returns one ``PathSample`` whose arrays have shape (count, n).
+    Returns one ``PathSample`` whose arrays have shape (count, n).  The
+    hidden chain is scanned in blocks of time steps (``_scan_block``), and
+    each symbol is 1 plus the number of inner thresholds of its state's
+    emission cdf that its uniform reaches.  Neither loop runs per time step.
     """
     if n < 0 or count < 0:
         raise ValidationError("n and count must be >= 0")
@@ -80,19 +90,47 @@ def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
     if n == 0 or count == 0:
         return PathSample(hidden=hidden, observed=observed, seed=seed)
     pi1 = stationary_dist(theta.p, theta.q)[1]
-    state = (rng.random(count) < pi1).astype(np.int64)
+    state = rng.random(count) < pi1
     hidden[:, 0] = state
-    for k in range(1, n):
-        u = rng.random(count)
-        state = np.where(state == 1, (u >= theta.q), (u < theta.p)).astype(np.int64)
-        hidden[:, k] = state
-    cdf = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])
-    cdf[:, -1] = 1.0
-    u = rng.random((count, n))
-    for x in (0, 1):
-        mask = hidden == x
-        observed[mask] = np.searchsorted(cdf[x], u[mask], side="right") + 1
+    for k0 in range(1, n, _STEP_BLOCK):
+        block = _scan_block(rng.random((min(_STEP_BLOCK, n - k0), count)), state, theta)
+        hidden[:, k0:k0 + len(block)] = block.T
+        state = block[-1]
+    # inner thresholds only: u < 1 never reaches the last cdf entry
+    thresholds = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])[:, :-1]
+    rows = max(1, _EMIT_BLOCK // n)
+    for r0 in range(0, count, rows):
+        h = hidden[r0:r0 + rows]
+        u = rng.random(h.shape)
+        y = observed[r0:r0 + rows]
+        y.fill(1)
+        for t in thresholds.T:
+            y += u >= t[h]
     return PathSample(hidden=hidden, observed=observed, seed=seed)
+
+
+def _scan_block(u, state, theta):
+    """Hidden states (0/1 ints) for one (steps, count) block of transition uniforms.
+
+    Step k sends the previous bit x to ``u < p`` if x = 0 and to ``u >= q``
+    if x = 1, so it is one of three maps of x: a constant (where both agree),
+    the identity or the flip.  The state after step k is the bit set at the
+    last reset r <= k (or the carried ``state``) xor the flips in (r, k].
+    Each reset is encoded as 2r + (bit xor flips up to r), so one running
+    maximum carries both the last reset and its bit.
+    """
+    to1 = u < theta.p
+    stay1 = u >= theta.q
+    parity = np.logical_xor.accumulate(to1 > stay1, axis=0)
+    enc = (to1 ^ parity).astype(np.int32)
+    enc += 2 * np.arange(1, len(u) + 1, dtype=np.int32)[:, None]
+    enc *= to1 == stay1
+    # the carried bit (0 or 1) stands until the block's first reset (2r >= 2)
+    np.maximum(enc[0], state, out=enc[0])
+    np.maximum.accumulate(enc, axis=0, out=enc)
+    enc &= 1
+    enc ^= parity
+    return enc
 
 
 def empirical_triple_law(observed, K: int) -> TripleLaw:

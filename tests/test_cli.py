@@ -86,6 +86,12 @@ class TestLbPair:
         assert pair["R"] == pytest.approx(0.07905694, abs=1e-8)
         assert pair["kind"] == "phi1_phi3"
 
+    def test_defaults_are_threshold_probes(self, capsys):
+        code, out, err = run(capsys, "lb-pair")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["R"] == pytest.approx(0.07905694, abs=1e-8)
+        assert run(capsys, "lb-pair", "--n", "100000", "--c", "0.001") == (0, out, "")
+
     def test_empty_box_exit_2(self, capsys):
         code, out, err = run(capsys, "lb-pair", "--kind", "psi1", "--L", "0.9")
         assert code == 2

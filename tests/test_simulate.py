@@ -10,9 +10,54 @@ from hmm_frontier import (
     sample_paths,
     triple_law_theta,
 )
+from hmm_frontier import simulate
+from hmm_frontier.params import stationary_dist
 from hmm_frontier.simulate import derive_seed
 
 from test_params import worked_theta
+
+
+def loop_sample_paths(theta, n, count, seed):
+    """Reference sampler: one uniform per path and time step, drawn step by step.
+
+    The stream order (initial states, then transitions time-major, then
+    emissions path-major) is the seed contract ``sample_paths`` must keep.
+    """
+    rng = np.random.default_rng(seed)
+    hidden = np.empty((count, n), dtype=np.int64)
+    observed = np.empty((count, n), dtype=np.int64)
+    if n == 0 or count == 0:
+        return hidden, observed
+    state = (rng.random(count) < stationary_dist(theta.p, theta.q)[1]).astype(np.int64)
+    hidden[:, 0] = state
+    for k in range(1, n):
+        u = rng.random(count)
+        state = np.where(state == 1, (u >= theta.q), (u < theta.p)).astype(np.int64)
+        hidden[:, k] = state
+    cdf = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])
+    cdf[:, -1] = 1.0
+    u = rng.random((count, n))
+    for x in (0, 1):
+        mask = hidden == x
+        observed[mask] = np.searchsorted(cdf[x], u[mask], side="right") + 1
+    return hidden, observed
+
+
+ORACLE_THETAS = {
+    "p<q,K=3": ThetaParams(p=0.2, q=0.3, f0=[0.5, 0.3, 0.2], f1=[0.2, 0.3, 0.5]),
+    "p>q,K=2": ThetaParams(p=0.7, q=0.1, f0=[0.6, 0.4], f1=[0.1, 0.9]),
+    "p=q,K=4,zero": ThetaParams(p=0.4, q=0.4, f0=[0.25, 0.0, 0.5, 0.25], f1=[0.1, 0.0, 0.5, 0.4]),
+    "p=q=1": ThetaParams(p=1.0, q=1.0, f0=[0.5, 0.3, 0.2], f1=[0.2, 0.3, 0.5]),
+}
+ORACLE_SEEDS = {"int": 20211, "SeedSequence": np.random.SeedSequence([5, 17, 3])}
+
+
+def assert_matches_loop(theta, shapes, seed):
+    for n, count in shapes:
+        h, y = loop_sample_paths(theta, n, count, seed)
+        got = sample_paths(theta, n, count, seed)
+        assert np.array_equal(got.hidden, h), (n, count)
+        assert np.array_equal(got.observed, y), (n, count)
 
 
 class TestSamplePath:
@@ -67,6 +112,46 @@ class TestSamplePath:
         assert lines[1:] == [f"{x},{y}" for x, y in zip(ps.hidden, ps.observed)]
         with pytest.raises(ValidationError):
             sample_paths(worked_theta(), 3, 2, 5).to_csv()
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+    @pytest.mark.parametrize("theta", ORACLE_THETAS.values(), ids=ORACLE_THETAS.keys())
+    def test_same_bytes_as_step_loop(self, theta, seed):
+        B = simulate._STEP_BLOCK
+        shapes = [(n, count) for n in (0, 1, 2, B, B + 1, 3 * B + 5) for count in (0, 1, 7)]
+        assert_matches_loop(theta, shapes, seed)
+
+    def test_alternation_and_absent_symbol(self):
+        alt = sample_paths(ORACLE_THETAS["p=q=1"], 100, 3, 4).hidden
+        assert np.all(alt[:, 1:] != alt[:, :-1])
+        assert 2 not in sample_paths(ORACLE_THETAS["p=q,K=4,zero"], 1000, 7, 4).observed
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+    def test_block_sizes_are_not_in_the_contract(self, monkeypatch, seed):
+        monkeypatch.setattr(simulate, "_STEP_BLOCK", 3)
+        monkeypatch.setattr(simulate, "_EMIT_BLOCK", 1)
+        shapes = [(n, count) for n in (1, 2, 3, 4, 11, 50) for count in (1, 7)]
+        for theta in ORACLE_THETAS.values():
+            assert_matches_loop(theta, shapes, seed)
+
+
+class TestExactLaw:
+    def test_transition_and_marginal_frequencies(self):
+        th = worked_theta()
+        h = sample_paths(th, 20000, 50, 314).hidden
+        prev, nxt = h[:, :-1].ravel(), h[:, 1:].ravel()
+        from0, from1 = prev == 0, prev == 1
+        # given the from-state counts, transitions are independent Bernoulli draws
+        for rate, frm, to in ((th.p, from0, 1), (th.q, from1, 0)):
+            m = frm.sum()
+            se = np.sqrt(rate * (1 - rate) / m)
+            assert abs(np.mean(nxt[frm] == to) - rate) < 4 * se
+        # the path mean's variance is pi0 pi1 (1 + lam) / (1 - lam) / n, lam = 1 - p - q
+        pi1 = th.p / (th.p + th.q)
+        lam = 1 - th.p - th.q
+        se = np.sqrt(pi1 * (1 - pi1) * (1 + lam) / (1 - lam) / h.size)
+        assert abs(h.mean() - pi1) < 4 * se
 
 
 class TestEmpiricalTripleLaw:
