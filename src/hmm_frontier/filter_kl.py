@@ -7,11 +7,22 @@ The exact likelihood is computed two independent ways:
   the oracle the V recursion is tested against;
 * the recursion on V_k = phi3 (P_k(0) - P_k(1) - phi1) in frontier
   coordinates, whose predictive density for the next symbol is
-  psi1(y) + V_k psi2(y) / 2.  One loop (``_v_scan``) runs it for H stacked
+  psi1(y) + V_k psi2(y) / 2.  One scan (``_v_scan``) runs it for H stacked
   hypotheses over the rows of an R x n symbol matrix: ``loglik_batch``
   scores many paths under one or several hypotheses in one pass (with
   optional prefix checkpoints), and ``v_recursion`` runs it on one path and
   also returns the V and filter trajectories.
+
+Each step is a linear-fractional map of V, so a run of steps composes into
+one 2 x 2 map.  A path set of fewer than ``_SCAN_ROW_CUT`` rows is cut along
+time into blocks of ``_SCAN_BLOCK`` steps, scanned side by side in two
+passes: the first composes each block's map, the maps are chained to give
+every block its exact entry V, and the second reruns the step update from
+those entries.  That makes about 2 * ``_SCAN_BLOCK`` Python iterations
+instead of n, and sums the log densities block by block.  With one block
+(n <= ``_SCAN_BLOCK``, or at least ``_SCAN_ROW_CUT`` rows, where numpy's
+work per step already dominates its call overhead) the scan is the plain
+step loop.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -32,6 +43,12 @@ from .simulate import sample_paths
 from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
+# Time blocks of the V scan (module docstring).  At _SCAN_ROW_CUT rows or more
+# a step is already vector-bound and blocking only adds work (H=2, R=500,
+# n=5e4: 1.9 s in one block, 2.4 s in blocks).  Neither constant is part of
+# the seed contract.
+_SCAN_BLOCK = 2048
+_SCAN_ROW_CUT = 256
 
 
 def increasing_grid(values, name: str) -> tuple:
@@ -91,50 +108,128 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik), impossible=impossible)
 
 
+def _coefficients(pps) -> np.ndarray:
+    """The 4 x H x K table of the V maps' alpha, beta, gamma and delta, by symbol.
+
+    ValidationError unless every emission of every hypothesis is strictly
+    positive, so a caller can refuse a hypothesis before drawing paths.
+    """
+    tables = []
+    for pp in pps:
+        theta = phipsi_to_theta(pp)
+        if min(theta.f0.min(), theta.f1.min()) <= 0.0:
+            raise ValidationError("the V recursion requires strictly positive emissions")
+        phi1, phi2, phi3 = pp.phi
+        psi1, psi2, r = pp.psi1, pp.psi2, r_of_phi(pp.phi)
+        tables.append((phi2 * (psi1 - phi1 * phi3 * psi2), 2.0 * r * psi2, 0.5 * psi2, psi1))
+    return np.stack(tables, axis=1)
+
+
 def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     """The V recursion of H hypotheses over the rows of an R x n symbol matrix.
 
     Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
     denominator is the predictive density, with the four coefficients
     gathered by the step's symbols from K-long tables, so no R x n float
-    array is built.  Returns the H x R log-likelihoods, the
+    array is built.  Fewer than ``_SCAN_ROW_CUT`` rows of more than
+    ``_SCAN_BLOCK`` steps run in blocks of ``_SCAN_BLOCK`` steps; otherwise
+    the whole path is one block.  Returns the H x R log-likelihoods, the
     H x R x len(checkpoints) prefix log-likelihoods and the H x R x n
     trajectory of V (None unless ``keep_v``).
     """
     cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
     if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
-    tables = []
-    for pp in pps:
-        theta = phipsi_to_theta(pp)
-        if min(theta.f0.min(), theta.f1.min()) <= 0.0:
-            raise ValidationError("v_recursion requires strictly positive emissions")
-        phi1, phi2, phi3 = pp.phi
-        psi1, psi2, r = pp.psi1, pp.psi2, r_of_phi(pp.phi)
-        tables.append((phi2 * (psi1 - phi1 * phi3 * psi2), 2.0 * r * psi2, 0.5 * psi2, psi1))
-    coef = np.stack(tables, axis=1)  # alpha, beta, gamma, delta: 4 x H x K
-    # V_0 = 0 (the stationary filter), so step 1 is the general update
-    loglik = np.zeros((len(tables), y.shape[0]))
-    v = np.zeros(loglik.shape)
-    trace = np.empty(loglik.shape + y.shape[1:]) if keep_v else None
-    prefix = np.empty(loglik.shape + (len(cps),))
-    ci = 0
-    for k in range(y.shape[1]):
-        alpha, beta, gamma, delta = np.take(coef, y[:, k] - 1, axis=2)
-        den = delta + gamma * v
-        bad = den <= 0.0
-        if np.any(bad):
-            raise NumericalDegeneracyError(
-                f"nonpositive predictive density {den[bad][0]} at step {k + 1}", step=k + 1
+    coef = _coefficients(pps)
+    n = y.shape[1]
+    length = _SCAN_BLOCK if y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK else n
+    return _block_scan(coef, y, length, cps, keep_v)
+
+
+def _block_scan(coef, y, length, cps=(), keep_v=False):
+    """``_v_scan`` with time cut into blocks of ``length`` steps (the last may be shorter).
+
+    Pass 1 composes each block's steps into one 2 x 2 matrix of the
+    linear-fractional map, the maps are chained to give each block its exact
+    entry V (block 0 enters at V_0 = 0, the stationary filter), and pass 2
+    reruns the step update from those entries, so the positivity check sees
+    every step.  Each block sums its own log densities; the block sums are
+    added left to right.  With one block this is the plain step loop, bit
+    for bit.
+    """
+    rows, n = y.shape
+    full, rem = divmod(n, length)
+    blocks, tail = full + (rem > 0), full * length
+    # a view, block-major like the state below: y is never copied
+    ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
+    h = coef.shape[1]
+    # Pass 1, over every block but the last.  m[i, j] is entry (i, j) of the
+    # product of the steps' matrices [[alpha, beta], [gamma, delta]]; its
+    # entries shrink like the product of the predictive densities, so each
+    # step divides it by m[1, 1], the density of the path entering at V = 0.
+    by_column = coef[[0, 2, 1, 3]]  # the steps' columns (alpha, gamma), (beta, delta)
+    m = np.zeros((2, 2, h, (blocks - 1) * rows))
+    m[0, 0] = m[1, 1] = 1.0
+    for k in range(length if blocks > 1 else 0):
+        idx = np.subtract(ys[: blocks - 1, :, k], 1, order="C").ravel()
+        step = np.take(by_column, idx, axis=2)
+        m = step[:2, None] * m[0] + step[2:, None] * m[1]
+        m /= m[1, 1].copy()
+    # The state is H x (blocks * R), block-major, so the blocks still running
+    # are a prefix of the columns and every step works on 2-D arrays.
+    v = np.zeros((h, blocks * rows))
+    for j in range(1, blocks):
+        u = v[:, (j - 1) * rows : j * rows]
+        (a, b), (c, d) = m[:, :, :, (j - 1) * rows : j * rows]
+        v[:, j * rows : (j + 1) * rows] = (a * u + b) / (c * u + d)
+    # Pass 2: the step update in every block from its entry V; a shorter last
+    # block drops out after its ``rem`` steps.
+    total = np.zeros(v.shape)
+    trace = np.empty((h, rows, n)) if keep_v else None
+    prefix = np.empty((h, rows, len(cps)))
+    reads = {}  # in-block step -> (checkpoint index, block) read after it
+    for ci, cp in enumerate(cps):
+        j, k = divmod(cp - 1, length)
+        reads.setdefault(k, []).append((ci, j))
+    for live, steps in ((blocks, range(rem)), (full, range(rem, length))):
+        u, run = v[:, : live * rows], total[:, : live * rows]
+        for k in steps:
+            sym = (
+                ys[:, :, k] if live == full else np.concatenate((ys[:, :, k], y[None, :, tail + k]))
             )
-        loglik = loglik + np.log(np.maximum(den, LOG_FLOOR))
-        v = (alpha * v + beta) / den
-        if keep_v:
-            trace[:, :, k] = v
-        if ci < len(cps) and cps[ci] == k + 1:
-            prefix[:, :, ci] = loglik
-            ci += 1
-    return loglik, prefix, trace
+            alpha, beta, gamma, delta = np.take(
+                coef, np.subtract(sym, 1, order="C").ravel(), axis=2
+            )
+            den = delta + gamma * u
+            if not (den > 0.0).all():  # a NaN density fails too
+                _degenerate(coef, y, length, rows, k, den)
+            run += np.log(np.maximum(den, LOG_FLOOR))
+            np.divide(alpha * u + beta, den, out=u)
+            if keep_v:
+                by_time = u.reshape(h, live, rows).transpose(0, 2, 1)
+                trace[:, :, k : live * length : length] = by_time
+            for ci, j in reads.get(k, ()):
+                prefix[:, :, ci] = total[:, j * rows : (j + 1) * rows]
+    sums = np.cumsum(total.reshape(h, blocks, rows), axis=1)
+    for ci, cp in enumerate(cps):
+        j = (cp - 1) // length
+        if j:
+            prefix[:, :, ci] += sums[:, j - 1]
+    return sums[:, -1], prefix, trace
+
+
+def _degenerate(coef, y, length, rows, k, den):
+    """Raise NumericalDegeneracyError at the first bad step; step ``k`` of some block was bad."""
+    bad = ~(den > 0.0)
+    j = int(np.argmax(bad.reshape(bad.shape[0], -1, rows).any(axis=(0, 2))))
+    if j:
+        # a failure in an earlier block comes first: rescan those blocks in order
+        _block_scan(coef, y[:, : j * length], j * length)
+    step = j * length + k + 1
+    first = den[:, j * rows : (j + 1) * rows][bad[:, j * rows : (j + 1) * rows]][0]
+    raise NumericalDegeneracyError(
+        f"predictive density {first} is not positive at step {step}", step=step
+    )
 
 
 def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
@@ -146,8 +241,8 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
                + 2 r psi2(Y_k)) / (psi1(Y_k) + psi2(Y_k) V_{k-1} / 2).
 
     The denominator is the predictive density of Y_k; if it is ever
-    nonpositive a NumericalDegeneracyError carrying the step index is
-    raised (this cannot happen when emissions are bounded away from zero
+    not positive (or NaN) a NumericalDegeneracyError carrying the step index
+    is raised (this cannot happen when emissions are bounded away from zero
     and |phi2| is small).
     """
     y = np.asarray(observed, dtype=np.int64)
@@ -202,6 +297,7 @@ def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicates: int,
     if replicates < 2:
         raise ValidationError("replicates must be >= 2")
     lengths = increasing_grid(lengths, "n_grid")
+    _coefficients([a, b])  # refuse a zero emission before drawing the paths
     paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed)
     _, (la, lb) = loglik_batch([a, b], paths.observed, lengths)
     return la - lb

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from hmm_frontier import (
+    NumericalDegeneracyError,
     PhiPsiParams,
     ThetaParams,
     ValidationError,
@@ -21,6 +23,7 @@ from hmm_frontier import (
     theta_to_phipsi,
     v_recursion,
 )
+from hmm_frontier import filter_kl
 from hmm_frontier.params import fallback_direction
 
 from test_params import random_theta, worked_theta
@@ -38,6 +41,28 @@ def brute_force_loglik(theta, observed):
             pr *= Q[xs[i - 1], xs[i]] * f[xs[i], observed[i] - 1]
         total += pr
     return np.log(total)
+
+
+def loop_v_scan(pps, y, checkpoints=(), keep_v=False):
+    """The reference V scan: one Python step at a time over the whole path, summing in order."""
+    coef = filter_kl._coefficients(pps)
+    loglik = np.zeros((len(pps), y.shape[0]))
+    v = np.zeros(loglik.shape)
+    trace = np.empty(loglik.shape + y.shape[1:]) if keep_v else None
+    prefix = np.empty(loglik.shape + (len(checkpoints),))
+    ci = 0
+    for k in range(y.shape[1]):
+        alpha, beta, gamma, delta = np.take(coef, y[:, k] - 1, axis=2)
+        den = delta + gamma * v
+        assert np.all(den > 0.0)
+        loglik = loglik + np.log(np.maximum(den, filter_kl.LOG_FLOOR))
+        v = (alpha * v + beta) / den
+        if keep_v:
+            trace[:, :, k] = v
+        if ci < len(checkpoints) and checkpoints[ci] == k + 1:
+            prefix[:, :, ci] = loglik
+            ci += 1
+    return loglik, prefix, trace
 
 
 def positive_theta(rng, K=3):
@@ -199,6 +224,99 @@ class TestStackedScan:
         assert str(stacked.value) == str(alone.value)
 
 
+def scan_pair():
+    a = theta_to_phipsi(worked_theta())
+    b = PhiPsiParams(
+        phi1=a.phi1, phi2=a.phi2, phi3=a.phi3,
+        psi1=[0.36, 0.31, 0.33], psi2=a.psi2,
+    )
+    return a, b
+
+
+class TestBlockedScan:
+    """The time-blocked scan against the step loop it replaces."""
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("rows", ["1", "2", "cut-1", "cut"])
+    @pytest.mark.parametrize("length", ["B-1", "B", "B+1", "3B+5"])
+    def test_matches_step_loop(self, block, rows, length, monkeypatch):
+        if block:  # tiny paths take many blocks
+            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+        B, cut = filter_kl._SCAN_BLOCK, filter_kl._SCAN_ROW_CUT
+        R = {"1": 1, "2": 2, "cut-1": cut - 1, "cut": cut}[rows]
+        n = {"B-1": B - 1, "B": B, "B+1": B + 1, "3B+5": 3 * B + 5}[length]
+        a, b = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), n, R, [17, R, n]).observed
+        checkpoints = sorted({1, min(B, n), min(B + 1, n), n})
+        got = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
+        want = loop_v_scan([a, b], y, checkpoints, keep_v=True)
+        for g, w in zip(got, want):
+            if n <= B or R >= cut:  # one block: the step loop itself
+                np.testing.assert_array_equal(g, w)
+            else:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    def test_blocks_match_forward_filter(self, monkeypatch):
+        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)  # every path is 100 blocks
+        TestVRecursion().test_matches_forward_filter()
+
+    def test_blocked_prefix_row_is_prefix_estimate(self, monkeypatch):
+        # bit for bit: a checkpoint and the prefix alone cut the same blocks
+        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        TestKL().test_prefix_row_is_prefix_estimate()
+
+    def test_long_path_sum_is_no_less_accurate(self):
+        # the blocks' sums of about B terms each are added left to right, so
+        # the total carries less rounding than one running sum of n terms
+        a, _ = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), 100_000, 1, 19).observed
+        coef = filter_kl._coefficients([a])[:, 0]
+        v, terms = 0.0, []
+        for sym in y[0]:
+            alpha, beta, gamma, delta = coef[:, sym - 1]
+            den = delta + gamma * v
+            terms.append(math.log(den))
+            v = (alpha * v + beta) / den
+        exact = math.fsum(terms)
+        blocked = loglik_batch(a, y)[0]
+        sequential = loop_v_scan([a], y)[0][0, 0]
+        assert abs(blocked - exact) <= abs(sequential - exact)
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_nan_density_raises_at_its_step(self, block, monkeypatch):
+        # r = NaN makes V_1 NaN, so the density of step 2 is NaN; `den <= 0`
+        # let it through and the log-likelihoods came back NaN
+        if block:
+            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(filter_kl, "r_of_phi", lambda phi: np.nan)
+        a, _ = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), 20, 3, 23).observed
+        with pytest.raises(NumericalDegeneracyError, match="at step 2$") as err:
+            loglik_batch(a, y)
+        assert err.value.step == 2
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_first_failing_step_across_blocks(self, block, monkeypatch):
+        # symbol 3 has a NaN density and first appears at step 8 (with blocks
+        # of 3 steps, step 2 of block 2); row 1's blocks 3 and 4 enter at a
+        # NaN V and fail at their first step, which the scan reaches first
+        if block:
+            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+        coefficients = filter_kl._coefficients
+
+        def nan_for_symbol_3(pps):
+            coef = coefficients(pps).copy()
+            coef[3, :, 2] = np.nan
+            return coef
+
+        monkeypatch.setattr(filter_kl, "_coefficients", nan_for_symbol_3)
+        y = np.ones((2, 14), dtype=np.int64)
+        y[1, 7:] = 3
+        with pytest.raises(NumericalDegeneracyError, match="at step 8$") as err:
+            loglik_batch(list(scan_pair()), y)
+        assert err.value.step == 8
+
+
 class TestKL:
     def test_self_zero(self):
         pp = theta_to_phipsi(worked_theta())
@@ -240,6 +358,20 @@ class TestKL:
         llr = loglik_batch(a, observed[:, :40]) - loglik_batch(b, observed[:, :40])
         assert grid[0].mean == float(llr.mean())
         assert grid[0].stderr == float(llr.std(ddof=1) / np.sqrt(30))
+
+    def test_zero_emission_refused_before_sampling(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_paths(*args)
+
+        monkeypatch.setattr(filter_kl, "sample_paths", counting)
+        a = theta_to_phipsi(worked_theta())
+        zero = theta_to_phipsi(ThetaParams(p=0.3, q=0.4, f0=[0.6, 0.4, 0.0], f1=[0.2, 0.3, 0.5]))
+        with pytest.raises(ValidationError, match="V recursion"):
+            kl_estimate(a, zero, [50], 10, 1)
+        assert calls == []
 
     @pytest.mark.parametrize("n_grid", [[100, 50], [50, 50], []])
     def test_grid_must_increase(self, n_grid):
