@@ -21,7 +21,6 @@ from .errors import (
 from .estimator import (
     FitResult,
     LossRecord,
-    SearchConfig,
     estimate_theta,
     losses,
     min_distance_fit,

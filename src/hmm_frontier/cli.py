@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .errors import FrontierError, InfeasiblePairError, NoMemberError, ValidationError
-from .estimator import SearchConfig, estimate_theta
+from .estimator import estimate_theta
 from .experiments import (
     PAIR_KINDS,
     SweepConfig,
@@ -133,12 +133,21 @@ def _params(fh) -> PhiPsiParams:
 
 def _observations(fh) -> np.ndarray:
     """One symbol per line, CSV with a ``y`` header column, or headerless CSV
-    read by its last column."""
-    rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    read by its last column; rows whose CSV fields are all blank are skipped."""
+    lines = [
+        line for line in fh
+        if ("".join(next(csv.reader([line]))) if '"' in line else line.replace(",", "")).strip()
+    ]
     column = -1
-    if rows and "y" in rows[0]:
-        column = rows.pop(0).index("y")
-    return np.array([int(row[column]) for row in rows])
+    header = next(csv.reader(lines[:1]), [])
+    if "y" in header:
+        column = header.index("y")
+        del lines[0]
+    if not lines:
+        return np.empty(0, dtype=np.int64)
+    return np.loadtxt(
+        lines, delimiter=",", usecols=column, dtype=np.int64, comments=None, quotechar='"', ndmin=1
+    )
 
 
 def build_parser() -> _Parser:
@@ -146,67 +155,57 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="sample a hidden-chain path to CSV")
-    p.add_argument("--config")
     p.add_argument("--p", type=float, default=0.2)
     p.add_argument("--q", type=float, default=0.3)
     p.add_argument("--f0", type=_list_of(float), default="0.5,0.3,0.2")
     p.add_argument("--f1", type=_list_of(float), default="0.2,0.3,0.5")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
     p = sub.add_parser("estimate", help="fit parameters to observations")
-    p.add_argument("--config")
     p.add_argument("--input", required=True, help="one symbol per line, or CSV (y or last column)")
     _add_box_flags(p)
     p.add_argument("--starts", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
     p = sub.add_parser("rate-sweep", help="loss-vs-n sweep of the estimator")
-    p.add_argument("--config")
     _add_box_flags(p)
     p.add_argument("--n-grid", type=_list_of(int), default="1000,10000,100000")
     p.add_argument("--replicas", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target", default="loss_phi2")
     p.add_argument("--resample-truths", action="store_true")
-    p.add_argument("--out")
 
     p = sub.add_parser("kl-probe", help="MC KL between two parameter files over an n grid")
-    p.add_argument("--config")
     p.add_argument("--params-a", required=True)
     p.add_argument("--params-b", required=True)
     p.add_argument("--n-grid", type=_list_of(int), default="100,200,400,700,1000")
     p.add_argument("--replicas", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
     p = sub.add_parser("equiv-probe", help="tensor-distance / rho ratio range over random pairs")
-    p.add_argument("--config")
     _add_box_flags(p)
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
 
     p = sub.add_parser("lb-pair", help="construct a two-point hypothesis pair")
-    p.add_argument("--config")
     p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
     # threshold-probe's defaults: a bare lb-pair builds the pair it tests
     p.add_argument("--n", type=int, default=10**5)
     p.add_argument("--c", type=float, default=0.001)
     _add_box_flags(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("threshold-probe", help="likelihood-ratio test on a constructed pair")
-    p.add_argument("--config")
     p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
     p.add_argument("--n", type=int, default=10**5)
     p.add_argument("--c", type=float, default=0.001)
     p.add_argument("--replicas", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     _add_box_flags(p)
-    p.add_argument("--out")
+
+    for p in sub.choices.values():
+        p.add_argument("--config")
+        p.add_argument("--out")
     return parser
 
 
@@ -217,9 +216,8 @@ def _run(args) -> None:
         _write(args.out, sample_path(theta, args.n, args.seed).to_csv())
     elif cmd == "estimate":
         observed = _read(args.input, _observations)
-        box = _box_from(args)
         theta, fit = estimate_theta(
-            observed, box, SearchConfig(random_starts=args.starts, seed=args.seed)
+            observed, _box_from(args), random_starts=args.starts, seed=args.seed
         )
         _write_json(
             args.out,

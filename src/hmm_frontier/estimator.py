@@ -5,14 +5,15 @@ tensor and an (empirical) target tensor over the constraint box by
 derivative-free simplex descent in unconstrained coordinates (psi1 through
 a softmax, psi2 demeaned and normalized, the scalars clipped into the box)
 from several starts: the closed-form moment-contraction initializer, its
-phi2-sign flip, the box witness, and ``SearchConfig.random_starts`` random
-box members.  The grid floor, the minimum distance over a 2 x 9 x 9 x 9
-grid of (sign phi2, |phi2|, phi1, phi3) with psi frozen at the best fit,
-backs the convergence diagnostic objective <= 2 * grid floor.  That is
-all ``FitResult.converged`` means: a start stuck in a local minimum less
-than twice the floor still counts as converged (on a bank of 72 fits, 9
-fits without random starts ended up to 10 % above the default's objective
-and were all flagged converged).
+phi2-sign flip, the box witness, and random box members (the keywords
+``random_starts`` and ``seed`` of ``min_distance_fit`` and
+``estimate_theta``).  The grid floor, the minimum distance over a
+2 x 9 x 9 x 9 grid of (sign phi2, |phi2|, phi1, phi3) with psi frozen at
+the best fit, backs the convergence diagnostic objective <= 2 * grid
+floor.  That is all ``FitResult.converged`` means: a start stuck in a
+local minimum less than twice the floor still counts as converged (on a
+bank of 72 fits, 9 fits without random starts ended up to 10 % above the
+default's objective and were all flagged converged).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonInvertibleMomentError, ValidationError
 from .params import (
@@ -43,14 +43,6 @@ _SIMPLEX_STEP = 0.05
 _MAX_EVALS = 2000  # objective evaluations per simplex start
 _PENALTY = 10.0  # weight of the phi3-infeasibility penalty in the objective
 _GRID_POINTS = 9  # grid-floor points per scalar coordinate
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Random members added to the deterministic starts, and their seed."""
-
-    random_starts: int = 3
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,16 +194,19 @@ def _decode(z: np.ndarray, box: ConstraintBox):
 
 
 def min_distance_fit(
-    phat: TripleLaw, box: ConstraintBox, config: SearchConfig | None = None
+    phat: TripleLaw, box: ConstraintBox, *, random_starts: int = 3, seed=0
 ) -> FitResult:
     """Multi-start simplex minimization of the tensor distance over the box.
 
     Starts: the moment initializer, its phi2-sign flip, the deterministic
-    box witness, and ``config.random_starts`` random members.  The result
-    is canonicalized; ties in the objective break toward the
-    lexicographically smaller canonical (phi1, phi2, phi3).
+    box witness, and ``random_starts`` random members, member i seeded with
+    ``derive_seed(seed, 7, i)``.  The result is canonicalized; ties in the
+    objective break toward the lexicographically smaller canonical
+    (phi1, phi2, phi3).
     """
-    cfg = config or SearchConfig()
+    # scipy is imported here so that commands which never fit do not load it
+    from scipy.optimize import minimize
+
     exists_witness(box)  # raises NoMemberError on an empty box
     target = phat.probs
 
@@ -226,8 +221,8 @@ def min_distance_fit(
     if flipped is not None:
         starts.append(flipped)
     starts.append(exists_witness(box))
-    for i in range(cfg.random_starts):
-        starts.append(sample_phipsi(box, derive_seed(cfg.seed, 7, i)))
+    for i in range(random_starts):
+        starts.append(sample_phipsi(box, derive_seed(seed, 7, i)))
 
     best = None
     for pp in starts:
@@ -299,10 +294,10 @@ def _grid_floor(target: np.ndarray, best: PhiPsiParams, box: ConstraintBox) -> f
     return float(np.where(hi[..., None] >= box.zeta, d, np.inf).min())
 
 
-def estimate_theta(observed, box: ConstraintBox, config: SearchConfig | None = None):
+def estimate_theta(observed, box: ConstraintBox, *, random_starts: int = 3, seed=0):
     """Full pipeline: empirical triple law, minimum-distance fit, plug-in theta."""
     phat = empirical_triple_law(observed, box.K)
-    fit = min_distance_fit(phat, box, config)
+    fit = min_distance_fit(phat, box, random_starts=random_starts, seed=seed)
     return phipsi_to_theta(fit.estimate), fit
 
 
@@ -364,7 +359,6 @@ def losses(est: PhiPsiParams, truth: PhiPsiParams) -> LossRecord:
 
 
 __all__ = [
-    "SearchConfig",
     "FitResult",
     "LossRecord",
     "moment_init",

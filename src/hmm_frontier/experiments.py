@@ -248,7 +248,9 @@ def slope_fit(rows, column: str):
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    # equal medians leave only rounding in ss_tot: the flat line fits exactly
+    flat = ss_tot <= y.size * (8.0 * np.finfo(float).eps * float(np.abs(y).max())) ** 2
+    r2 = 1.0 if flat else 1.0 - float(np.sum(resid**2)) / ss_tot
     return float(slope), float(intercept), r2
 
 

@@ -132,10 +132,6 @@ class PhiPsiParams:
     def phi(self) -> np.ndarray:
         return np.array([self.phi1, self.phi2, self.phi3])
 
-    @property
-    def n_symbols(self) -> int:
-        return self.psi1.size
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -305,7 +301,6 @@ class MembershipReport:
     """Per-inequality membership verdicts with signed slack (>= 0 means pass)."""
 
     checks: tuple[MembershipCheck, ...]
-    compatibility_warning: bool
 
     @property
     def all_pass(self) -> bool:
@@ -343,7 +338,7 @@ def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
             pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box
         )
     )
-    return MembershipReport(checks=checks, compatibility_warning=not box.compatibility_ok)
+    return MembershipReport(checks=checks)
 
 
 def exists_witness(box: ConstraintBox) -> PhiPsiParams:

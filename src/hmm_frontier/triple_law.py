@@ -18,9 +18,6 @@ of the pointwise moduli of continuity.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,7 +33,6 @@ from .params import (
     switch_labels,
 )
 
-MASS_TOL = 1e-12
 ENTRY_TOL = 1e-14
 
 
@@ -59,40 +55,12 @@ class TripleLaw:
         object.__setattr__(self, "probs", arr)
 
     @property
-    def n_symbols(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def total_mass(self) -> float:
         return float(self.probs.sum())
 
     def distance(self, other: "TripleLaw") -> float:
         """Euclidean (Frobenius) distance between the two tensors."""
         return float(np.linalg.norm(self.probs - other.probs))
-
-    def to_csv(self) -> str:
-        """Rows (a, b, c, prob) with 1-based symbol indices, row-major order."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["a", "b", "c", "prob"])
-        K = self.n_symbols
-        for a in range(K):
-            for b in range(K):
-                for c in range(K):
-                    w.writerow([a + 1, b + 1, c + 1, repr(float(self.probs[a, b, c]))])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        """Flat row-major (a-major) array of the K^3 probabilities."""
-        return json.dumps(self.probs.ravel().tolist())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TripleLaw":
-        flat = np.asarray(json.loads(text), dtype=float)
-        K = round(flat.size ** (1 / 3))
-        if K**3 != flat.size:
-            raise ValidationError(f"array length {flat.size} is not a cube")
-        return cls(probs=flat.reshape(K, K, K))
 
 
 @dataclass(frozen=True)
@@ -102,9 +70,6 @@ class MomentVector:
     m1: float
     m2: float
     m3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3])
 
 
 def r_of_phi(phi) -> float:

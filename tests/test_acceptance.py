@@ -14,7 +14,6 @@ from hmm_frontier import (
     ConstraintBox,
     InfeasiblePairError,
     PhiPsiParams,
-    SearchConfig,
     ThetaParams,
     canonicalize,
     empirical_triple_law,

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,7 @@ BAD_INPUTS = {
         "estimate", "--input", write(d, "obs.csv", "a,b\n0,1\n1,2\n"),
     ],
     "csv-short-row": lambda d: ["estimate", "--input", write(d, "obs.csv", "x,y\n0,1\n1\n")],
+    "comment-row": lambda d: ["estimate", "--input", write(d, "obs.txt", "1\n2\n# 3\n1\n")],
     "out-missing-dir": lambda d: ["simulate", "--n", "5", "--out", str(d / "missing-dir" / "x.csv")],
 }
 
@@ -239,6 +244,14 @@ def test_observation_formats_read_alike(capsys, tmp_path, monkeypatch):
         "xy.csv": "x,y\n" + "".join(f"{i % 2},{y}\n" for i, y in enumerate(symbols)),
         "headerless.csv": "".join(f"{i % 2},{y}\n" for i, y in enumerate(symbols)),
         "yx.csv": "y,x\n" + "".join(f"{y},{i % 2}\n" for i, y in enumerate(symbols)),
+        "crlf.csv": "x,y\r\n" + "".join(f"{i % 2},{y}\r\n" for i, y in enumerate(symbols)),
+        "blank-rows.csv": "\n , \n" + "".join(
+            f"{i % 2},{y}\n" + ("  \n" if i % 3 else ",,\n") for i, y in enumerate(symbols)
+        ),
+        "quoted.csv": '"x","y"\n' + "".join(
+            f'"{i % 2}"," {y}"\n' + ('"",""\n' if i % 5 == 0 else "")
+            for i, y in enumerate(symbols)
+        ),
     }
     outs = []
     for name, text in files.items():
@@ -340,3 +353,42 @@ class TestProbes:
         lines = out_file.read_text().splitlines()
         assert lines[0].startswith("n,replica,seed,")
         assert len(lines) == 2
+
+
+# Runs one command in a fresh interpreter and prints its exit code and whether
+# scipy was loaded: only the commands that fit need it.
+FRESH = (
+    "import sys; from hmm_frontier.cli import cli_main; "
+    "code = cli_main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+)
+
+TOY_RUNS = {
+    "simulate": lambda d: ["simulate", "--n", "10"],
+    "kl-probe": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", native_params(d),
+        "--n-grid", "20", "--replicas", "2",
+    ],
+    "equiv-probe": lambda d: ["equiv-probe", "--pairs", "5"],
+    "lb-pair": lambda d: ["lb-pair"],
+    "threshold-probe": lambda d: ["threshold-probe", "--replicas", "2"],
+    "estimate": lambda d: [
+        "estimate", "--input", write(d, "obs.txt", "1\n2\n3\n" * 100),
+        "--epsilon", "0.3", "--zeta", "0.3", "--starts", "0",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(TOY_RUNS))
+def test_only_estimate_loads_scipy(tmp_path, command):
+    import hmm_frontier
+
+    src = str(Path(hmm_frontier.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [*TOY_RUNS[command](tmp_path), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.stdout.split() == ["0", str(command == "estimate")], proc.stderr
+    if command == "estimate":
+        assert json.loads((tmp_path / "out").read_text())["objective"] >= 0

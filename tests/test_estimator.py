@@ -5,7 +5,6 @@ from hmm_frontier import (
     ConstraintBox,
     NoMemberError,
     PhiPsiParams,
-    SearchConfig,
     ThetaParams,
     canonicalize,
     estimate_theta,
@@ -23,8 +22,6 @@ from hmm_frontier.estimator import _GRID_POINTS
 from hmm_frontier.triple_law import TripleLaw
 
 from test_params import worked_box, worked_theta
-
-FAST = SearchConfig(random_starts=1)
 
 
 def worked_pp():
@@ -59,30 +56,30 @@ class TestMomentInit:
 class TestMinDistanceFit:
     def test_noiseless_recovery(self):
         pp = worked_pp()
-        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), FAST)
+        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=1)
         rec = losses(fit.estimate, pp)
         assert max(rec.phi1, rec.phi2, rec.phi3, rec.psi1, rec.psi2) <= 1e-3
         assert fit.objective <= 1e-6
 
     def test_label_switched_input_same_estimate(self):
         pp = worked_pp()
-        fit_a = min_distance_fit(triple_law_phipsi(pp), worked_box(), FAST)
+        fit_a = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=1)
         fit_b = min_distance_fit(
-            triple_law_phipsi(switch_labels(pp)), worked_box(), FAST
+            triple_law_phipsi(switch_labels(pp)), worked_box(), random_starts=1
         )
         assert fit_a.estimate.phi1 == pytest.approx(fit_b.estimate.phi1, abs=1e-6)
         np.testing.assert_allclose(fit_a.estimate.psi2, fit_b.estimate.psi2, atol=1e-6)
 
     def test_estimate_is_canonical_and_feasible(self):
         pp = worked_pp()
-        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), FAST)
+        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=1)
         canon = canonicalize(fit.estimate)
         assert canon.phi1 == fit.estimate.phi1
         assert validate_phipsi(fit.estimate, worked_box()).all_pass
 
     def test_near_minimality_diagnostic(self):
         pp = worked_pp()
-        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), FAST)
+        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=1)
         assert fit.converged
         assert fit.objective <= 2 * fit.grid_floor + 1e-9
 
@@ -90,14 +87,14 @@ class TestMinDistanceFit:
         box = worked_box()
         for i in range(5):
             truth = sample_phipsi(box, [321, i])
-            fit = min_distance_fit(triple_law_phipsi(truth), box, FAST)
+            fit = min_distance_fit(triple_law_phipsi(truth), box, random_starts=1)
             rec = losses(fit.estimate, truth)
             assert max(rec.phi1, rec.phi2, rec.phi3, rec.psi1, rec.psi2) <= 1e-3
 
     def test_empty_box(self):
         bad = ConstraintBox(delta=0.4, epsilon=0.5, zeta=0.1, L=0.3, K=3)
         with pytest.raises(NoMemberError):
-            min_distance_fit(triple_law_phipsi(worked_pp()), bad, FAST)
+            min_distance_fit(triple_law_phipsi(worked_pp()), bad, random_starts=1)
 
 
 def reference_grid_floor(target, best, box):
@@ -148,7 +145,7 @@ class TestGridFloor:
         exact = triple_law_phipsi(theta_to_phipsi(theta)).probs
         noise = np.random.default_rng(11).uniform(0.999, 1.001, exact.shape)
         target = TripleLaw(probs=exact * noise)
-        fit = min_distance_fit(target, box, FAST)
+        fit = min_distance_fit(target, box, random_starts=1)
         floor, skipped = reference_grid_floor(target.probs, fit.estimate, box)
         assert (skipped > 0) == thin
         assert fit.grid_floor == pytest.approx(floor, rel=1e-12, abs=0.0)
@@ -158,14 +155,14 @@ class TestEstimateTheta:
     def test_sampled_pipeline(self):
         th = worked_theta()
         y = sample_path(th, 20000, 77).observed
-        est, fit = estimate_theta(y, worked_box(), FAST)
+        est, fit = estimate_theta(y, worked_box(), random_starts=1)
         assert fit.converged
         rec = losses(fit.estimate, worked_pp())
         assert rec.pq < 0.3
         assert rec.psi1 < 0.1
 
     def test_constant_sequence_handled(self):
-        est, fit = estimate_theta(np.ones(100, dtype=int), worked_box(), FAST)
+        est, fit = estimate_theta(np.ones(100, dtype=int), worked_box(), random_starts=1)
         assert validate_phipsi(fit.estimate, worked_box()).all_pass
         assert isinstance(fit.converged, bool)
 

@@ -232,6 +232,14 @@ class TestSlopeFit:
         slope, _, _ = slope_fit(rows, "loss")
         assert slope == pytest.approx(0.0, abs=1e-12)
 
+    def test_equal_medians_fit_exactly(self):
+        # loss_phi2 of `rate-sweep --delta 0.1 --epsilon 0.3 --zeta 0.3 --L 0.3
+        # --k 3 --n-grid 1000,10000,100000 --replicas 1 --seed 791101151`
+        rows = [{"n": n, "loss": 0.003030307334243143} for n in (10**3, 10**4, 10**5)]
+        slope, _, r2 = slope_fit(rows, "loss")
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert r2 == 1.0
+
     def test_single_n_errors(self):
         with pytest.raises(DegenerateFitError):
             slope_fit([{"n": 100, "loss": 1.0}], "loss")
