@@ -28,7 +28,6 @@ from .estimator import (
 )
 from .experiments import (
     HypothesisPair,
-    SweepConfig,
     ThresholdProbe,
     lower_bound_pair,
     rate_sweep,

@@ -11,7 +11,8 @@ an unknown key exits 1, and explicit flags win, abbreviations included.
 ``--input`` and ``--params-a/-b`` must be given on the command line.
 ``--input`` holds one symbol per line, a CSV with a ``y`` header column, or
 a headerless CSV whose last column is read; ``--params-a/-b`` hold
-``{"phi", "psi1", "psi2"}`` or native ``{"p", "q", "f0", "f1"}`` JSON.
+``{"phi", "psi1", "psi2"}`` or native ``{"p", "q", "f0", "f1"}`` JSON with
+positive emissions.  Errors name the file, and a bad ``--input`` row its line.
 
 Output goes to ``--out`` (stdout when omitted).  Exit codes: 0 on success,
 1 on validation errors or bad usage (every input error, with an ``error:``
@@ -31,14 +32,13 @@ from .errors import FrontierError, InfeasiblePairError, NoMemberError, Validatio
 from .estimator import estimate_theta
 from .experiments import (
     PAIR_KINDS,
-    SweepConfig,
     lower_bound_pair,
     rate_sweep,
     slope_fit,
     sweep_rows_to_csv,
     threshold_probe,
 )
-from .filter_kl import kl_estimate, kl_rho_bound
+from .filter_kl import kl_estimate, kl_rho_bound, require_positive_emissions
 from .params import ConstraintBox, PhiPsiParams, ThetaParams, theta_to_phipsi
 from .simulate import sample_path
 from .triple_law import equivalence_ratio_probe, rho
@@ -68,7 +68,7 @@ def _read(path: str, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, ValidationError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"cannot read {path}: {detail}") from exc
 
@@ -123,21 +123,35 @@ def _add_box_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3)
 
 
+def _add_pair_flags(p: argparse.ArgumentParser) -> None:
+    """--kind, --n and --c: a bare lb-pair builds the pair a bare threshold-probe tests."""
+    p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
+    p.add_argument("--n", type=int, default=10**5)
+    p.add_argument("--c", type=float, default=0.001)
+
+
 def _params(fh) -> PhiPsiParams:
-    """Frontier-coordinate JSON, or native ``{"p", "q", "f0", "f1"}`` JSON."""
+    """Frontier-coordinate or native ``{"p", "q", "f0", "f1"}`` JSON; emissions must be > 0."""
     text = fh.read()
-    if "phi" in json.loads(text):
-        return PhiPsiParams.from_json(text)
-    return theta_to_phipsi(ThetaParams.from_json(text))
+    native = "phi" not in json.loads(text)
+    pp = theta_to_phipsi(ThetaParams.from_json(text)) if native else PhiPsiParams.from_json(text)
+    require_positive_emissions(pp)
+    return pp
+
+
+_LOADTXT = {"delimiter": ",", "dtype": np.int64, "comments": None, "quotechar": '"', "ndmin": 1}
+
+
+def _has_data(line: str) -> bool:
+    """Whether some CSV field of ``line`` is not blank (CSV rules only with quotes)."""
+    fields = "".join(next(csv.reader([line]))) if '"' in line else line.replace(",", "")
+    return bool(fields.strip())
 
 
 def _observations(fh) -> np.ndarray:
     """One symbol per line, CSV with a ``y`` header column, or headerless CSV
     read by its last column; rows whose CSV fields are all blank are skipped."""
-    lines = [
-        line for line in fh
-        if ("".join(next(csv.reader([line]))) if '"' in line else line.replace(",", "")).strip()
-    ]
+    lines = [line for line in fh if _has_data(line)]
     column = -1
     header = next(csv.reader(lines[:1]), [])
     if "y" in header:
@@ -145,9 +159,19 @@ def _observations(fh) -> np.ndarray:
         del lines[0]
     if not lines:
         return np.empty(0, dtype=np.int64)
-    return np.loadtxt(
-        lines, delimiter=",", usecols=column, dtype=np.int64, comments=None, quotechar='"', ndmin=1
-    )
+    try:
+        return np.loadtxt(lines, usecols=column, **_LOADTXT)
+    except ValueError:
+        # only on failure: find the first data row that does not parse alone
+        fh.seek(0)
+        numbers = [i for i, line in enumerate(fh, 1) if _has_data(line)][-len(lines):]
+        for i, line in zip(numbers, lines):
+            try:
+                np.loadtxt([line], usecols=column, **_LOADTXT)
+            except ValueError:
+                where = "the y column" if column >= 0 else "the last column"
+                raise ValueError(f"line {i}: no integer symbol in {where}: {line.strip()!r}")
+        raise
 
 
 def build_parser() -> _Parser:
@@ -189,16 +213,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("lb-pair", help="construct a two-point hypothesis pair")
-    p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
-    # threshold-probe's defaults: a bare lb-pair builds the pair it tests
-    p.add_argument("--n", type=int, default=10**5)
-    p.add_argument("--c", type=float, default=0.001)
+    _add_pair_flags(p)
     _add_box_flags(p)
 
     p = sub.add_parser("threshold-probe", help="likelihood-ratio test on a constructed pair")
-    p.add_argument("--kind", choices=PAIR_KINDS, default="phi1_phi3")
-    p.add_argument("--n", type=int, default=10**5)
-    p.add_argument("--c", type=float, default=0.001)
+    _add_pair_flags(p)
     p.add_argument("--replicas", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     _add_box_flags(p)
@@ -232,14 +251,10 @@ def _run(args) -> None:
             },
         )
     elif cmd == "rate-sweep":
-        cfg = SweepConfig(
-            box=_box_from(args),
-            n_grid=tuple(args.n_grid),
-            replicas=args.replicas,
-            master_seed=args.seed,
+        rows = rate_sweep(
+            _box_from(args), args.n_grid, args.replicas, args.seed,
             resample_truths=args.resample_truths,
         )
-        rows = rate_sweep(cfg)
         _write(args.out, sweep_rows_to_csv(rows))
         try:
             slope, _, r2 = slope_fit(rows, args.target)

@@ -30,13 +30,14 @@ from .params import (
     canonicalize,
     exists_witness,
     fallback_direction,
+    leading_sign,
     phipsi_to_theta,
     sample_phipsi,
     switch_labels,
     validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law
-from .triple_law import MomentVector, TripleLaw, phi_of_m, triple_law_phipsi, triple_tensor
+from .triple_law import MomentVector, TripleLaw, moment_tensor, phi_of_m, triple_tensor
 
 _SIGN_TOL = 1e-12
 _SIMPLEX_STEP = 0.05
@@ -57,20 +58,13 @@ class FitResult:
     init_fallback: bool = False
 
 
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if abs(x) > _SIGN_TOL:
-            return v if x > 0 else -v
-    return v
-
-
 def moment_init(phat: TripleLaw, box: ConstraintBox):
     """Closed-form initializer from tensor contractions.
 
     The first-coordinate marginal gives psi1; the lag-1 and lag-2 pair
     residuals are rank-one with common direction psi2 and eigenvalues
-    m1 and m2; m3 comes from contracting the remaining third-order
-    residual against psi2^(x3).  Returns ``(params, used_fallback)``:
+    m1 and m2; m3 is the residual from ``moment_tensor(m1, m2, 0)``
+    contracted against -psi2^(x3).  Returns ``(params, used_fallback)``:
     when the inferred moments are non-invertible (m1 ~ 0, m2 <= 0, or
     ``phi_of_m`` rejects them) or project outside the box, a box-center
     parameter with the same psi1 is returned instead, flagged.
@@ -92,20 +86,12 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
     v = vecs[:, i]
     v = v - v.mean()
     norm = float(np.linalg.norm(v))
-    K = box.K
-    if norm < _SIGN_TOL:
-        v = fallback_direction(K)
-    else:
-        v = _canonical_direction(v / norm)
+    v = fallback_direction(box.K) if norm < _SIGN_TOL else v / norm
+    v = leading_sign(v) * v  # the fallback direction already leads with +1
 
     r13 = pn.sum(axis=1) - np.outer(psi1, psi1)
     m2 = float(v @ r13 @ v)
-    resid = (
-        pn
-        - np.einsum("a,b,c->abc", psi1, psi1, psi1)
-        - m1 * (np.einsum("a,b,c->abc", v, v, psi1) + np.einsum("a,b,c->abc", psi1, v, v))
-        - m2 * np.einsum("a,b,c->abc", v, psi1, v)
-    )
+    resid = pn - moment_tensor(m1, m2, 0.0, psi1, v)
     m3 = -float(np.einsum("abc,a,b,c->", resid, v, v, v))
 
     if abs(m1) < 1e-10 or m2 <= 0.0:
@@ -207,7 +193,7 @@ def min_distance_fit(
     # scipy is imported here so that commands which never fit do not load it
     from scipy.optimize import minimize
 
-    exists_witness(box)  # raises NoMemberError on an empty box
+    witness = exists_witness(box)  # raises NoMemberError on an empty box
     target = phat.probs
 
     def objective(z: np.ndarray) -> float:
@@ -220,7 +206,7 @@ def min_distance_fit(
     flipped = _project(init.phi1, -init.phi2, init.phi3, init.psi1, init.psi2, box)
     if flipped is not None:
         starts.append(flipped)
-    starts.append(exists_witness(box))
+    starts.append(witness)
     for i in range(random_starts):
         starts.append(sample_phipsi(box, derive_seed(seed, 7, i)))
 
@@ -247,7 +233,7 @@ def min_distance_fit(
             if cand is None:
                 continue
             cand = canonicalize(cand)
-            obj = float(np.linalg.norm(triple_law_phipsi(cand).probs - target))
+            obj = float(np.linalg.norm(triple_tensor(*cand.phi, cand.psi1, cand.psi2) - target))
             key = (obj, cand.phi1, cand.phi2, cand.phi3)
             if best is None or _better(key, best[0]):
                 best = (key, cand)

@@ -39,20 +39,6 @@ from .triple_law import r_of_phi, rho
 PAIR_KINDS = ("phi1_phi3", "phi2", "psi1", "psi2")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A rate sweep: one box, a grid of sample sizes, replicated estimation."""
-
-    box: ConstraintBox
-    n_grid: tuple
-    replicas: int
-    master_seed: int
-    resample_truths: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_grid", increasing_grid(self.n_grid, "n_grid"))
-
-
 @dataclass(frozen=True, eq=False)
 class HypothesisPair:
     """Two nearly indistinguishable parameters with their separation record."""
@@ -173,24 +159,21 @@ SWEEP_COLUMNS = (
 )
 
 
-def rate_sweep(cfg: SweepConfig):
-    """Run the estimator over the (n, replica) grid; returns row dicts.
+def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_truths=False):
+    """Run the estimator over the (n, replica) grid of an increasing ``n_grid``.
 
     The truth is fixed per sweep by default (drawn once from the box);
-    ``resample_truths`` draws a new truth per replica instead.  Rows are
-    deterministic given the master seed; failures fill the error column
-    and the sweep continues.
+    ``resample_truths`` draws a new truth per replica instead.  Returns row
+    dicts, deterministic given the seed; failures fill the error column and
+    the sweep continues.
     """
-    box = cfg.box
-    truth = sample_phipsi(box, derive_seed(cfg.master_seed, 0))
+    n_grid = increasing_grid(n_grid, "n_grid")
+    truth = sample_phipsi(box, derive_seed(seed, 0))
     rows = []
-    for n in cfg.n_grid:
-        for rep in range(cfg.replicas):
-            if cfg.resample_truths:
-                truth_r = sample_phipsi(box, derive_seed(cfg.master_seed, 1, rep))
-            else:
-                truth_r = truth
-            seed_int = int(derive_seed(cfg.master_seed, n, rep).generate_state(1)[0])
+    for n in n_grid:
+        for rep in range(replicas):
+            truth_r = sample_phipsi(box, derive_seed(seed, 1, rep)) if resample_truths else truth
+            seed_int = int(derive_seed(seed, n, rep).generate_state(1)[0])
             row = {
                 "n": n, "replica": rep, "seed": seed_int,
                 "delta": box.delta, "epsilon": box.epsilon, "zeta": box.zeta,
@@ -299,7 +282,6 @@ def threshold_probe(
 __all__ = [
     "PAIR_KINDS",
     "SWEEP_COLUMNS",
-    "SweepConfig",
     "HypothesisPair",
     "ThresholdProbe",
     "lower_bound_pair",

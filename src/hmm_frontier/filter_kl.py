@@ -108,6 +108,13 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik), impossible=impossible)
 
 
+def require_positive_emissions(pp: PhiPsiParams) -> None:
+    """ValidationError unless both emission densities of ``pp`` are strictly positive."""
+    theta = phipsi_to_theta(pp)
+    if min(theta.f0.min(), theta.f1.min()) <= 0.0:
+        raise ValidationError("the V recursion requires strictly positive emissions")
+
+
 def _coefficients(pps) -> np.ndarray:
     """The 4 x H x K table of the V maps' alpha, beta, gamma and delta, by symbol.
 
@@ -116,9 +123,7 @@ def _coefficients(pps) -> np.ndarray:
     """
     tables = []
     for pp in pps:
-        theta = phipsi_to_theta(pp)
-        if min(theta.f0.min(), theta.f1.min()) <= 0.0:
-            raise ValidationError("the V recursion requires strictly positive emissions")
+        require_positive_emissions(pp)
         phi1, phi2, phi3 = pp.phi
         psi1, psi2, r = pp.psi1, pp.psi2, r_of_phi(pp.phi)
         tables.append((phi2 * (psi1 - phi1 * phi3 * psi2), 2.0 * r * psi2, 0.5 * psi2, psi1))
@@ -327,4 +332,5 @@ __all__ = [
     "loglik_batch",
     "kl_estimate",
     "kl_rho_bound",
+    "require_positive_emissions",
 ]

@@ -12,6 +12,7 @@ Two coordinate systems are supported and interconverted:
       phi3 = ||f0 - f1||
 
 The map is invertible (up to label switching) and the inverse is explicit.
+This module owns r(phi) and the label-switch sign rule, ``leading_sign``.
 Constraint boxes describe the parameter classes over which minimax sweeps
 run; membership is checked inequality by inequality with signed slack.
 
@@ -49,7 +50,7 @@ def _as_density(v, name: str) -> np.ndarray:
     if np.any(arr < -DENSITY_TOL):
         raise ValidationError(f"{name} has a negative entry: min={arr.min()}")
     if abs(arr.sum() - 1.0) > DENSITY_TOL:
-        raise ValidationError(f"{name} does not sum to 1 (sum={arr.sum()!r})")
+        raise ValidationError(f"{name} does not sum to 1 (sum={float(arr.sum())!r})")
     arr = np.clip(arr, 0.0, None)
     arr.setflags(write=False)
     return arr
@@ -73,10 +74,6 @@ class ThetaParams:
         object.__setattr__(self, "f1", _as_density(self.f1, "f1"))
         if self.f0.size != self.f1.size:
             raise ValidationError("f0 and f1 must have equal length")
-
-    @property
-    def n_symbols(self) -> int:
-        return self.f0.size
 
     def to_json(self) -> str:
         return json.dumps(
@@ -116,9 +113,9 @@ class PhiPsiParams:
         if psi2.shape != self.psi1.shape:
             raise ValidationError("psi1 and psi2 must have equal length")
         if abs(float(np.linalg.norm(psi2)) - 1.0) > DENSITY_TOL:
-            raise ValidationError(f"psi2 must have unit norm: {np.linalg.norm(psi2)!r}")
+            raise ValidationError(f"psi2 must have unit norm: {float(np.linalg.norm(psi2))!r}")
         if abs(float(psi2.sum())) > DENSITY_TOL:
-            raise ValidationError(f"psi2 entries must sum to 0: {psi2.sum()!r}")
+            raise ValidationError(f"psi2 entries must sum to 0: {float(psi2.sum())!r}")
         psi2 = psi2.copy()
         psi2.setflags(write=False)
         object.__setattr__(self, "psi2", psi2)
@@ -153,6 +150,12 @@ class PhiPsiParams:
             psi2=d["psi2"],
             degenerate=bool(d.get("degenerate", False)),
         )
+
+
+def r_of_phi(phi) -> float:
+    """r(phi) = (1 - phi1^2) phi2 phi3^2 / 4; vanishes exactly on the i.i.d. set."""
+    phi1, phi2, phi3 = phi
+    return 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
 
 
 def emission_margin(phi1, phi3, psi1, psi2) -> float:
@@ -242,7 +245,7 @@ def theta_to_phipsi(theta: ThetaParams) -> PhiPsiParams:
             phi2=phi2,
             phi3=0.0,
             psi1=psi1,
-            psi2=fallback_direction(theta.n_symbols),
+            psi2=fallback_direction(theta.f0.size),
             degenerate=True,
         )
     return PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=diff / phi3)
@@ -281,12 +284,17 @@ def switch_labels(pp: PhiPsiParams) -> PhiPsiParams:
     )
 
 
+def leading_sign(v) -> float:
+    """The label-switch rule: sign of the first entry above ZERO_TOL in magnitude, or +1."""
+    for x in v:
+        if abs(x) > ZERO_TOL:
+            return 1.0 if x > 0 else -1.0
+    return 1.0
+
+
 def canonicalize(pp: PhiPsiParams) -> PhiPsiParams:
     """Resolve label switching: first nonzero coordinate of psi2 made positive."""
-    for v in pp.psi2:
-        if abs(v) > ZERO_TOL:
-            return pp if v > 0 else switch_labels(pp)
-    return pp
+    return pp if leading_sign(pp.psi2) > 0 else switch_labels(pp)
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,7 @@ class MembershipReport:
 
 
 def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
-    r = 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
+    r = r_of_phi((phi1, phi2, phi3))
     return [
         ("min_transition", 0.5 * (1.0 - phi2) * (1.0 - abs(phi1)) - box.delta),
         ("max_transition", 1.0 - 0.5 * (1.0 - phi2) * (1.0 + abs(phi1))),

@@ -7,8 +7,9 @@ decomposes as
     psi1^3 + r (psi2 psi2 psi1 + psi1 psi2 psi2)
            + phi2 r psi2 psi1 psi2 - phi1 phi2 phi3 r psi2 psi2 psi2
 
-with r = r(phi) = (1 - phi1^2) phi2 phi3^2 / 4.  The coefficient vector
-m = (r, phi2 r, phi1 phi2 phi3 r) is invertible back to phi wherever
+with r = r(phi) = (1 - phi1^2) phi2 phi3^2 / 4.  ``moment_tensor`` is the one
+builder of this expansion in m = (m1, m2, m3); ``triple_tensor`` gives it
+m = (r, phi2 r, phi1 phi2 phi3 r), which is invertible back to phi wherever
 r != 0, and a max-of-five-terms pseudo-distance ``rho`` built from m and
 psi is equivalent (up to constants) to the Euclidean distance between
 triple-law tensors.  This module provides both directions, the distance,
@@ -28,6 +29,7 @@ from .params import (
     ConstraintBox,
     PhiPsiParams,
     ThetaParams,
+    r_of_phi,
     sample_phipsi,
     stationary_dist,
     switch_labels,
@@ -72,12 +74,6 @@ class MomentVector:
     m3: float
 
 
-def r_of_phi(phi) -> float:
-    """r(phi) = (1 - phi1^2) phi2 phi3^2 / 4; vanishes exactly on the i.i.d. set."""
-    phi1, phi2, phi3 = phi
-    return 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
-
-
 def m_of_phi(phi) -> MomentVector:
     phi1, phi2, phi3 = phi
     r = r_of_phi(phi)
@@ -116,17 +112,23 @@ def triple_law_theta(theta: ThetaParams) -> TripleLaw:
     return TripleLaw(probs=t)
 
 
-def triple_tensor(phi1, phi2, phi3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
-    """Unvalidated ``triple_law_phipsi`` tensor; phi arrays of shape
-    ``(..., 1, 1, 1)`` give a stack of shape ``(..., K, K, K)``."""
-    r = r_of_phi((phi1, phi2, phi3))
+def moment_tensor(m1, m2, m3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """psi1^3 + m1 (psi2 psi2 psi1 + psi1 psi2 psi2) + m2 psi2 psi1 psi2 - m3 psi2^3, the
+    one builder of the expansion; m arrays of shape ``(..., 1, 1, 1)`` give a stack."""
     a, b = psi1, psi2
     return (
         np.einsum("a,b,c->abc", a, a, a)
-        + r * (np.einsum("a,b,c->abc", b, b, a) + np.einsum("a,b,c->abc", a, b, b))
-        + phi2 * r * np.einsum("a,b,c->abc", b, a, b)
-        - phi1 * phi2 * phi3 * r * np.einsum("a,b,c->abc", b, b, b)
+        + m1 * (np.einsum("a,b,c->abc", b, b, a) + np.einsum("a,b,c->abc", a, b, b))
+        + m2 * np.einsum("a,b,c->abc", b, a, b)
+        - m3 * np.einsum("a,b,c->abc", b, b, b)
     )
+
+
+def triple_tensor(phi1, phi2, phi3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
+    """Unvalidated ``triple_law_phipsi`` tensor; phi arrays of shape
+    ``(..., 1, 1, 1)`` give a stack of shape ``(..., K, K, K)``."""
+    m = m_of_phi((phi1, phi2, phi3))
+    return moment_tensor(m.m1, m.m2, m.m3, psi1, psi2)
 
 
 def triple_law_phipsi(pp: PhiPsiParams) -> TripleLaw:
@@ -251,6 +253,7 @@ __all__ = [
     "m_of_phi",
     "phi_of_m",
     "triple_law_theta",
+    "moment_tensor",
     "triple_tensor",
     "triple_law_phipsi",
     "rho",

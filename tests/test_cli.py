@@ -217,6 +217,16 @@ BAD_INPUTS = {
     "csv-short-row": lambda d: ["estimate", "--input", write(d, "obs.csv", "x,y\n0,1\n1\n")],
     "comment-row": lambda d: ["estimate", "--input", write(d, "obs.txt", "1\n2\n# 3\n1\n")],
     "out-missing-dir": lambda d: ["simulate", "--n", "5", "--out", str(d / "missing-dir" / "x.csv")],
+    "params-b-bad-sum": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", write(
+            d, "params-b.json", '{"p": 0.2, "q": 0.3, "f0": [0.5, 0.2, 0.2], "f1": [0.3, 0.3, 0.4]}'
+        ),
+    ],
+    "params-b-zero-emission": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", write(
+            d, "params-b.json", '{"p": 0.2, "q": 0.3, "f0": [0.5, 0.5, 0.0], "f1": [0.3, 0.3, 0.4]}'
+        ),
+    ],
 }
 
 
@@ -226,6 +236,20 @@ def test_bad_input_is_a_named_error(capsys, tmp_path, case):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    if case.startswith("params-b-"):
+        assert f"cannot read {tmp_path / 'params-b.json'}: " in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("x,y\n0,1\n1\n", 3), ("1\n2\n1.5\n", 3), ("1\n\n2\nx\n", 4)],
+    ids=["short-row", "not-an-integer", "after-blank-line"],
+)
+def test_input_error_names_the_file_line(capsys, tmp_path, text, line):
+    code, _, err = run(capsys, "estimate", "--input", write(tmp_path, "obs.csv", text))
+    assert code == 1
+    assert f"obs.csv: line {line}: " in err
+    assert "row" not in err
 
 
 def test_observation_formats_read_alike(capsys, tmp_path, monkeypatch):

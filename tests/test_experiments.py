@@ -10,7 +10,6 @@ from hmm_frontier import (
     DegenerateFitError,
     InfeasiblePairError,
     NoMemberError,
-    SweepConfig,
     ValidationError,
     derive_seed,
     empirical_triple_law,
@@ -166,41 +165,29 @@ class TestRateSweep:
         return ConstraintBox(delta=0.1, epsilon=0.3, zeta=0.3, L=0.3, K=3)
 
     def test_single_row(self):
-        cfg = SweepConfig(
-            box=self.box(), n_grid=(1000,), replicas=1, master_seed=5,
-        )
-        rows = rate_sweep(cfg)
+        rows = rate_sweep(self.box(), (1000,), 1, 5)
         assert len(rows) == 1
         assert rows[0]["n"] == 1000
         assert rows[0]["error"] == ""
         assert rows[0]["loss_phi2"] >= 0
 
     def test_determinism_modulo_wall_time(self):
-        cfg = SweepConfig(
-            box=self.box(), n_grid=(500, 1000), replicas=2, master_seed=7,
-        )
-        a = rate_sweep(cfg)
-        b = rate_sweep(cfg)
+        a = rate_sweep(self.box(), (500, 1000), 2, 7)
+        b = rate_sweep(self.box(), (500, 1000), 2, 7)
         for ra, rb in zip(a, b):
             for k in SWEEP_COLUMNS:
                 if k != "wall_ms":
                     assert ra.get(k) == rb.get(k)
 
     def test_csv_schema(self):
-        cfg = SweepConfig(
-            box=self.box(), n_grid=(500,), replicas=1, master_seed=1,
-        )
-        text = sweep_rows_to_csv(rate_sweep(cfg))
+        text = sweep_rows_to_csv(rate_sweep(self.box(), (500,), 1, 1))
         header = text.splitlines()[0]
         assert header == ",".join(SWEEP_COLUMNS)
         assert len(text.splitlines()) == 2
 
     def test_resampled_truth_row_recomputes(self):
         box = self.box()
-        cfg = SweepConfig(
-            box=box, n_grid=(500,), replicas=2, master_seed=3, resample_truths=True,
-        )
-        rows = rate_sweep(cfg)
+        rows = rate_sweep(box, (500,), 2, 3, resample_truths=True)
         row = rows[1]
         truth = sample_phipsi(box, derive_seed(3, 1, 1))
         path = sample_paths(phipsi_to_theta(truth), 500, 1, row["seed"])
@@ -213,7 +200,7 @@ class TestRateSweep:
 
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError):
-            SweepConfig(box=self.box(), n_grid=(1000, 500), replicas=1, master_seed=1)
+            rate_sweep(self.box(), (1000, 500), 1, 1)
 
 
 class TestSlopeFit:
