@@ -24,6 +24,7 @@ from .estimator import (
     estimate_theta,
     losses,
     min_distance_fit,
+    min_distance_fits,
     moment_init,
 )
 from .experiments import (

@@ -32,6 +32,7 @@ from .errors import FrontierError, InfeasiblePairError, NoMemberError, Validatio
 from .estimator import estimate_theta
 from .experiments import (
     PAIR_KINDS,
+    SWEEP_COLUMNS,
     lower_bound_pair,
     rate_sweep,
     slope_fit,
@@ -61,6 +62,17 @@ def _list_of(item):
 
     parse.__name__ = f"{item.__name__} list"
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer, the seeds numpy's SeedSequence takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
 
 
 def _read(path: str, parse):
@@ -184,20 +196,23 @@ def build_parser() -> _Parser:
     p.add_argument("--f0", type=_list_of(float), default="0.5,0.3,0.2")
     p.add_argument("--f1", type=_list_of(float), default="0.2,0.3,0.5")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("estimate", help="fit parameters to observations")
     p.add_argument("--input", required=True, help="one symbol per line, or CSV (y or last column)")
     _add_box_flags(p)
     p.add_argument("--starts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("rate-sweep", help="loss-vs-n sweep of the estimator")
     _add_box_flags(p)
     p.add_argument("--n-grid", type=_list_of(int), default="1000,10000,100000")
     p.add_argument("--replicas", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target", default="loss_phi2")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument(
+        "--target", choices=[c for c in SWEEP_COLUMNS if c.startswith("loss_")],
+        default="loss_phi2",
+    )
     p.add_argument("--resample-truths", action="store_true")
 
     p = sub.add_parser("kl-probe", help="MC KL between two parameter files over an n grid")
@@ -205,12 +220,12 @@ def build_parser() -> _Parser:
     p.add_argument("--params-b", required=True)
     p.add_argument("--n-grid", type=_list_of(int), default="100,200,400,700,1000")
     p.add_argument("--replicas", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("equiv-probe", help="tensor-distance / rho ratio range over random pairs")
     _add_box_flags(p)
     p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("lb-pair", help="construct a two-point hypothesis pair")
     _add_pair_flags(p)
@@ -219,7 +234,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("threshold-probe", help="likelihood-ratio test on a constructed pair")
     _add_pair_flags(p)
     p.add_argument("--replicas", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_box_flags(p)
 
     for p in sub.choices.values():
@@ -248,6 +263,8 @@ def _run(args) -> None:
                 "starts": fit.starts,
                 "converged": fit.converged,
                 "init_fallback": fit.init_fallback,
+                "nfev": fit.nfev,
+                "best_start": fit.best_start,
             },
         )
     elif cmd == "rate-sweep":

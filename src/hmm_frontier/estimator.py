@@ -6,18 +6,31 @@ derivative-free simplex descent in unconstrained coordinates (psi1 through
 a softmax, psi2 demeaned and normalized, the scalars clipped into the box)
 from several starts: the closed-form moment-contraction initializer, its
 phi2-sign flip, the box witness, and random box members (the keywords
-``random_starts`` and ``seed`` of ``min_distance_fit`` and
-``estimate_theta``).  The grid floor, the minimum distance over a
-2 x 9 x 9 x 9 grid of (sign phi2, |phi2|, phi1, phi3) with psi frozen at
-the best fit, backs the convergence diagnostic objective <= 2 * grid
-floor.  That is all ``FitResult.converged`` means: a start stuck in a
-local minimum less than twice the floor still counts as converged (on a
-bank of 72 fits, 9 fits without random starts ended up to 10 % above the
-default's objective and were all flagged converged).
+``random_starts`` and ``seed`` of ``min_distance_fit``,
+``min_distance_fits`` and ``estimate_theta``).
+
+The descent is a lockstep Nelder-Mead (``_nelder_mead``): one loop moves a
+stack of simplexes, one row per (target, start), and scores each step's
+trial points of every row in one call of the batched objective.  Each row
+takes exactly the steps, values and evaluation count that
+``scipy.optimize.minimize(method="Nelder-Mead")`` takes on its own, and the
+objective rounds every row as it would alone, so a fit is the same bit for
+bit whether it runs alone (``min_distance_fit``) or stacked with other
+targets (``min_distance_fits``).  scipy is not needed at run time; the
+tests use it as the reference.
+
+The grid floor, the minimum distance over a 2 x 9 x 9 x 9 grid of
+(sign phi2, |phi2|, phi1, phi3) with psi frozen at the best fit, backs the
+convergence diagnostic objective <= 2 * grid floor.  That is all
+``FitResult.converged`` means: a start stuck in a local minimum less than
+twice the floor still counts as converged (on a bank of 72 fits, 9 fits
+without random starts ended up to 10 % above the default's objective and
+were all flagged converged).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +55,34 @@ from .triple_law import MomentVector, TripleLaw, moment_tensor, phi_of_m, triple
 _SIGN_TOL = 1e-12
 _SIMPLEX_STEP = 0.05
 _MAX_EVALS = 2000  # objective evaluations per simplex start
+_FATOL = 1e-12
+_XATOL = 1e-10
+# Nelder-Mead trial points a * centroid - b * worst vertex: expansion, outside
+# and inside contraction
+_TRIAL_A = np.array([3.0, 1.5, 0.5])[:, None, None]
+_TRIAL_B = np.array([2.0, 0.5, -0.5])[:, None, None]
+_SPECULATE_ROWS = 32  # stacks up to this many rows score all trial points at once
 _PENALTY = 10.0  # weight of the phi3-infeasibility penalty in the objective
 _GRID_POINTS = 9  # grid-floor points per scalar coordinate
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Best fit found, with the coarse-grid near-minimality diagnostic."""
+    """Best fit found, with the coarse-grid near-minimality diagnostic.
+
+    ``nfev`` counts objective evaluations summed over the starts;
+    ``best_start`` names the start the estimate came from: ``moment``,
+    ``flip``, ``witness`` or ``random-<i>``.
+    """
 
     estimate: PhiPsiParams
     objective: float
     grid_floor: float
     starts: int
     converged: bool
-    init_fallback: bool = False
+    init_fallback: bool
+    nfev: int
+    best_start: str
 
 
 def moment_init(phat: TripleLaw, box: ConstraintBox):
@@ -114,23 +141,24 @@ def _phi1_bound(phi2, box: ConstraintBox):
 def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
     """Largest phi3 with nonnegative emissions; phi1 of shape (..., 1) gives (...)."""
     den = phi1 * psi2 + np.abs(psi2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, 2.0 * psi1 / den, np.inf)
+    ratios = np.divide(2.0 * psi1, den, out=np.full(den.shape, np.inf), where=den > 0.0)
     return ratios.min(axis=-1)
 
 
 def _clip(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
     """Clamp phi2, then phi1, then phi3 into the box at fixed psi.
 
-    Also returns ``hi``, the largest phi3 with nonnegative emissions; no
-    phi3 in the box is feasible when ``hi < zeta``.
+    Elementwise over rows: phi of shape ``(...)`` with psi of shape
+    ``(..., K)``.  Also returns ``hi``, the largest phi3 with nonnegative
+    emissions; no phi3 in the box is feasible when ``hi < zeta``.
     """
-    s = 1.0 if phi2 >= 0.0 else -1.0
-    phi2 = s * min(max(abs(phi2), box.epsilon), box.phi2_max)
+    # np.minimum(np.maximum(...)) is np.clip without its per-call overhead
+    s = np.where(phi2 >= 0.0, 1.0, -1.0)
+    phi2 = s * np.minimum(np.maximum(np.abs(phi2), box.epsilon), box.phi2_max)
     b1 = _phi1_bound(phi2, box)
-    phi1 = float(np.clip(phi1, -b1, b1))
-    hi = float(_phi3_max(phi1, psi1, psi2))
-    phi3 = float(np.clip(phi3, box.zeta, max(hi, box.zeta)))
+    phi1 = np.minimum(np.maximum(phi1, -b1), b1)
+    hi = _phi3_max(np.asarray(phi1)[..., None], psi1, psi2)
+    phi3 = np.minimum(np.maximum(phi3, box.zeta), np.maximum(hi, box.zeta))
     return phi1, phi2, phi3, hi
 
 
@@ -140,7 +168,9 @@ def _project(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
     if hi < box.zeta:
         return None
     try:
-        pp = PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=psi2)
+        pp = PhiPsiParams(
+            phi1=float(phi1), phi2=float(phi2), phi3=float(phi3), psi1=psi1, psi2=psi2
+        )
     except ValidationError:
         return None
     if not validate_phipsi(pp, box).all_pass:
@@ -165,93 +195,220 @@ def _encode(pp: PhiPsiParams) -> np.ndarray:
     )
 
 
-def _decode(z: np.ndarray, box: ConstraintBox):
-    """Map unconstrained coordinates to box-feasible arrays plus a penalty."""
+def _row_sq(d: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row, one BLAS dot per row as ``np.linalg.norm`` takes it."""
+    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def _decode(Z: np.ndarray, box: ConstraintBox):
+    """Map rows of unconstrained coordinates to box-feasible arrays plus a penalty."""
     K = box.K
-    u = z[3 : 3 + K]
-    w = z[3 + K : 3 + 2 * K]
-    eu = np.exp(u - u.max())
-    psi1 = eu / eu.sum()
-    w = w - w.mean()
-    norm = float(np.linalg.norm(w))
-    psi2 = w / norm if norm > _SIGN_TOL else fallback_direction(K)
-    phi1, phi2, phi3, hi = _clip(z[0], z[1], z[2], psi1, psi2, box)
-    return phi1, phi2, phi3, psi1, psi2, max(0.0, box.zeta - hi)
+    u = Z[:, 3 : 3 + K]
+    w = Z[:, 3 + K : 3 + 2 * K]
+    eu = np.exp(u - u.max(axis=1, keepdims=True))
+    psi1 = eu / eu.sum(axis=1, keepdims=True)
+    w = w - w.sum(axis=1, keepdims=True) / K
+    norm = np.sqrt(_row_sq(w))[:, None]
+    ok = norm > _SIGN_TOL
+    if ok.all():
+        psi2 = w / norm
+    else:
+        psi2 = np.where(ok, w / np.where(ok, norm, 1.0), fallback_direction(K))
+    phi1, phi2, phi3, hi = _clip(Z[:, 0], Z[:, 1], Z[:, 2], psi1, psi2, box)
+    return phi1, phi2, phi3, psi1, psi2, np.maximum(0.0, box.zeta - hi)
+
+
+def _objective(Z: np.ndarray, targets: np.ndarray, box: ConstraintBox) -> np.ndarray:
+    """Distance of each decoded row of Z, shape ``(B, 3 + 2K)``, to its target
+    in ``targets``, shape ``(B, K, K, K)``, plus the phi3-infeasibility
+    penalty.  Every row is rounded as it would be alone (B = 1)."""
+    phi1, phi2, phi3, psi1, psi2, pen = _decode(Z, box)
+    cells = (slice(None), None, None, None)
+    t = triple_tensor(phi1[cells], phi2[cells], phi3[cells], psi1, psi2)
+    return np.sqrt(_row_sq((t - targets).reshape(len(Z), -1))) + _PENALTY * pen
+
+
+def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
+    """Nelder-Mead descent of a stack of simplexes in lockstep, one row per simplex.
+
+    ``simplexes`` has shape ``(B, N + 1, N)``; ``f(points, rows)`` returns
+    the objective of row ``rows[i]`` at ``points[i]``.  Each row follows
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` with that initial
+    simplex and the same ``maxfev``, ``fatol`` and ``xatol`` bit for bit:
+    the non-adaptive coefficients, the same stopping rules, and the same
+    partial step when the budget runs out (a refused expansion or
+    contraction changes nothing; a shrink has moved the vertex whose call
+    is refused).  Rows leave the stack when they stop.  Returns every
+    row's final simplex and vertex values, sorted best first as scipy's
+    ``final_simplex``, and its evaluation count.
+    """
+    sim = np.array(simplexes, dtype=float)
+    B, N1, N = sim.shape
+    rows = np.arange(B)
+    fsim = f(sim.reshape(-1, N), np.repeat(rows, N1)).reshape(B, N1)
+    fsim[:, maxfev:] = np.inf  # calls past the budget are refused
+    nfev = np.full(B, min(N1, maxfev))
+    for _ in range(2):  # scipy sorts twice before its first step; ties may move
+        sim, fsim = _sort_rows(sim, fsim)
+    out_sim, out_fsim, evals = np.empty_like(sim), np.empty_like(fsim), np.empty_like(nfev)
+    vertex = np.arange(1, N1)
+    while rows.size:
+        stop = (nfev >= maxfev) | (
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
+        )
+        if stop.any():
+            done = rows[stop]
+            out_sim[done], out_fsim[done], evals[done] = sim[stop], fsim[stop], nfev[stop]
+            go = ~stop
+            rows, sim, fsim, nfev = rows[go], sim[go], fsim[go], nfev[go]
+            if not rows.size:
+                break
+        xbar = sim[:, :-1].sum(axis=1) / N
+        worst = sim[:, -1]
+        xr = 2.0 * xbar - worst  # reflection, rho = 1
+        # expansion (chi = 2), outside and inside contraction (psi = 0.5) as
+        # a * xbar - b * worst, rounded as scipy's own expressions
+        trials = _TRIAL_A * xbar - _TRIAL_B * worst
+        here = np.arange(rows.size)
+        # a small stack scores every trial point in one call, which costs less
+        # than a second call for the points it needs
+        speculate = rows.size <= _SPECULATE_ROWS
+        if speculate:
+            scores = f(np.concatenate([xr[None], trials]).reshape(-1, N), np.tile(rows, 4))
+            fxr, ftrials = scores[: rows.size], scores[rows.size :].reshape(3, -1)
+        else:
+            fxr = f(xr, rows)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        trial = np.where(expand, 0, np.where(outside, 1, 2))
+        x2 = trials[trial, here]
+        second = ~accept & (nfev < maxfev)
+        if speculate:
+            f2 = np.where(second, ftrials[trial, here], np.inf)
+        else:
+            f2 = np.full(rows.size, np.inf)
+            if second.any():
+                f2[second] = f(x2[second], rows[second])
+        nfev += second
+        # the expansion point wins over the reflection when below it, the
+        # outside contraction is taken when not above the reflection, the
+        # inside one when below the worst vertex; a refused contraction or
+        # one not taken shrinks the simplex toward its best vertex
+        better = np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
+        take = accept | (second & (expand | better))
+        use_xr = accept | (expand & ~better)
+        sim[take, -1] = np.where(use_xr[:, None], xr, x2)[take]
+        fsim[take, -1] = np.where(use_xr, fxr, f2)[take]
+        shrink = second & ~take
+        if shrink.any():
+            base = sim[shrink, :1]
+            pts = base + 0.5 * (sim[shrink, 1:] - base)  # sigma = 0.5
+            # vertex j moves, then is scored; out of budget, the first vertex
+            # whose call is refused has moved all the same
+            left = (maxfev - nfev[shrink])[:, None]
+            called = vertex <= left
+            sim[shrink, 1:] = np.where((vertex <= left + 1)[..., None], pts, sim[shrink, 1:])
+            if called.any():
+                fvals = fsim[shrink, 1:]
+                owners = np.broadcast_to(rows[shrink, None], called.shape)
+                fvals[called] = f(pts[called], owners[called])
+                fsim[shrink, 1:] = fvals
+                nfev[shrink] += called.sum(axis=1)
+        sim, fsim = _sort_rows(sim, fsim)
+    return out_sim, out_fsim, evals
+
+
+def _sort_rows(sim, fsim):
+    """Order each row's vertices by value, as scipy's per-simplex argsort does."""
+    ind = np.argsort(fsim, axis=1)
+    r = np.arange(len(ind))[:, None]
+    return sim[r, ind], fsim[r, ind]
+
+
+def min_distance_fits(
+    phats: Sequence[TripleLaw], box: ConstraintBox, *, random_starts: int = 3, seed=0
+) -> list[FitResult]:
+    """Fit every target in ``phats``; all their starts descend as one stack.
+
+    Starts per target: the moment initializer, its phi2-sign flip, the
+    deterministic box witness, and ``random_starts`` random members, member
+    i seeded with ``derive_seed(seed, 7, i)``.  Each result is canonicalized;
+    ties in the objective break toward the lexicographically smaller
+    canonical (phi1, phi2, phi3).  A target's result does not depend on the
+    other targets in ``phats``.
+    """
+    witness = exists_witness(box)  # raises NoMemberError on an empty box
+    if not phats:
+        return []
+    randoms = [
+        (f"random-{i}", sample_phipsi(box, derive_seed(seed, 7, i))) for i in range(random_starts)
+    ]
+    owner, origin, z0, fallbacks = [], [], [], []
+    for t, phat in enumerate(phats):
+        init, used_fallback = moment_init(phat, box)
+        fallbacks.append(used_fallback)
+        flipped = _project(init.phi1, -init.phi2, init.phi3, init.psi1, init.psi2, box)
+        for name, pp in [("moment", init), ("flip", flipped), ("witness", witness), *randoms]:
+            if pp is not None:
+                owner.append(t)
+                origin.append(name)
+                z0.append(_encode(pp))
+    owner = np.array(owner)
+    targets = np.stack([phat.probs for phat in phats])
+    z0 = np.stack(z0)
+    simplexes = np.concatenate([z0[:, None], z0[:, None] + _SIMPLEX_STEP * np.eye(z0.shape[1])], 1)
+    final, _, nfev = _nelder_mead(
+        lambda Z, rows: _objective(Z, targets[owner[rows]], box),
+        simplexes, _MAX_EVALS, _FATOL, _XATOL,
+    )
+    # each start offers its end point, then its initial point
+    decoded = _decode(np.concatenate([final[:, 0], z0]), box)
+    results = []
+    for t, phat in enumerate(phats):
+        rows = np.flatnonzero(owner == t)
+        best = None
+        for row in rows:
+            for c in (row, len(z0) + row):
+                phi1, phi2, phi3, psi1, psi2, pen = (v[c] for v in decoded)
+                if pen > 0.0:
+                    continue
+                cand = _project(phi1, phi2, phi3, psi1, psi2, box)
+                if cand is None:
+                    continue
+                cand = canonicalize(cand)
+                obj = float(
+                    np.linalg.norm(triple_tensor(*cand.phi, cand.psi1, cand.psi2) - phat.probs)
+                )
+                key = (obj, cand.phi1, cand.phi2, cand.phi3)
+                if best is None or _better(key, best[0]):
+                    best = (key, cand, origin[row])
+        if best is None:
+            raise ValidationError("no feasible candidate found")
+        (objective_value, *_), estimate, best_start = best
+        floor = _grid_floor(phat.probs, estimate, box)
+        results.append(
+            FitResult(
+                estimate=estimate,
+                objective=objective_value,
+                grid_floor=floor,
+                starts=rows.size,
+                converged=objective_value <= 2.0 * floor + 1e-9,
+                init_fallback=fallbacks[t],
+                nfev=int(nfev[rows].sum()),
+                best_start=best_start,
+            )
+        )
+    return results
 
 
 def min_distance_fit(
     phat: TripleLaw, box: ConstraintBox, *, random_starts: int = 3, seed=0
 ) -> FitResult:
-    """Multi-start simplex minimization of the tensor distance over the box.
-
-    Starts: the moment initializer, its phi2-sign flip, the deterministic
-    box witness, and ``random_starts`` random members, member i seeded with
-    ``derive_seed(seed, 7, i)``.  The result is canonicalized; ties in the
-    objective break toward the lexicographically smaller canonical
-    (phi1, phi2, phi3).
-    """
-    # scipy is imported here so that commands which never fit do not load it
-    from scipy.optimize import minimize
-
-    witness = exists_witness(box)  # raises NoMemberError on an empty box
-    target = phat.probs
-
-    def objective(z: np.ndarray) -> float:
-        phi1, phi2, phi3, psi1, psi2, pen = _decode(z, box)
-        d = triple_tensor(phi1, phi2, phi3, psi1, psi2) - target
-        return float(np.linalg.norm(d)) + _PENALTY * pen
-
-    init, used_fallback = moment_init(phat, box)
-    starts = [init]
-    flipped = _project(init.phi1, -init.phi2, init.phi3, init.psi1, init.psi2, box)
-    if flipped is not None:
-        starts.append(flipped)
-    starts.append(witness)
-    for i in range(random_starts):
-        starts.append(sample_phipsi(box, derive_seed(seed, 7, i)))
-
-    best = None
-    for pp in starts:
-        z0 = _encode(pp)
-        simplex = np.vstack([z0] + [z0 + _SIMPLEX_STEP * e for e in np.eye(z0.size)])
-        res = minimize(
-            objective,
-            z0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": _MAX_EVALS,
-                "fatol": 1e-12,
-                "xatol": 1e-10,
-                "initial_simplex": simplex,
-            },
-        )
-        for z in (res.x, z0):
-            phi1, phi2, phi3, psi1, psi2, pen = _decode(z, box)
-            if pen > 0.0:
-                continue
-            cand = _project(phi1, phi2, phi3, psi1, psi2, box)
-            if cand is None:
-                continue
-            cand = canonicalize(cand)
-            obj = float(np.linalg.norm(triple_tensor(*cand.phi, cand.psi1, cand.psi2) - target))
-            key = (obj, cand.phi1, cand.phi2, cand.phi3)
-            if best is None or _better(key, best[0]):
-                best = (key, cand)
-    if best is None:
-        raise ValidationError("no feasible candidate found")
-    key, estimate = best
-    objective_value = key[0]
-
-    floor = _grid_floor(target, estimate, box)
-    converged = objective_value <= 2.0 * floor + 1e-9
-    return FitResult(
-        estimate=estimate,
-        objective=objective_value,
-        grid_floor=floor,
-        starts=len(starts),
-        converged=converged,
-        init_fallback=used_fallback,
-    )
+    """Fit one target: ``min_distance_fits([phat], box, ...)[0]``."""
+    return min_distance_fits([phat], box, random_starts=random_starts, seed=seed)[0]
 
 
 def _better(key_a, key_b) -> bool:
@@ -349,6 +506,7 @@ __all__ = [
     "LossRecord",
     "moment_init",
     "min_distance_fit",
+    "min_distance_fits",
     "estimate_theta",
     "losses",
 ]

@@ -114,19 +114,22 @@ def triple_law_theta(theta: ThetaParams) -> TripleLaw:
 
 def moment_tensor(m1, m2, m3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """psi1^3 + m1 (psi2 psi2 psi1 + psi1 psi2 psi2) + m2 psi2 psi1 psi2 - m3 psi2^3, the
-    one builder of the expansion; m arrays of shape ``(..., 1, 1, 1)`` give a stack."""
+    one builder of the expansion; m arrays of shape ``(..., 1, 1, 1)``, with psi
+    of shape ``(K,)`` or ``(..., K)``, give a stack."""
     a, b = psi1, psi2
+    outer = "...a,...b,...c->...abc"
     return (
-        np.einsum("a,b,c->abc", a, a, a)
-        + m1 * (np.einsum("a,b,c->abc", b, b, a) + np.einsum("a,b,c->abc", a, b, b))
-        + m2 * np.einsum("a,b,c->abc", b, a, b)
-        - m3 * np.einsum("a,b,c->abc", b, b, b)
+        np.einsum(outer, a, a, a)
+        + m1 * (np.einsum(outer, b, b, a) + np.einsum(outer, a, b, b))
+        + m2 * np.einsum(outer, b, a, b)
+        - m3 * np.einsum(outer, b, b, b)
     )
 
 
 def triple_tensor(phi1, phi2, phi3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """Unvalidated ``triple_law_phipsi`` tensor; phi arrays of shape
-    ``(..., 1, 1, 1)`` give a stack of shape ``(..., K, K, K)``."""
+    ``(..., 1, 1, 1)``, with psi of shape ``(K,)`` or ``(..., K)``, give a
+    stack of shape ``(..., K, K, K)``."""
     m = m_of_phi((phi1, phi2, phi3))
     return moment_tensor(m.m1, m.m2, m.m3, psi1, psi2)
 

@@ -7,7 +7,7 @@ purpose:
 
 It reruns every run in ``manifest.json``, rewrites the ``<name>.stdout``,
 ``<name>.stderr`` and ``<name>.out`` files (an empty stream has no file),
-records each exit code and the numpy and scipy versions in the manifest,
+records each exit code and the numpy version in the manifest,
 and prints the runs whose outputs changed.  Those are the runs a change
 must name and explain.
 """

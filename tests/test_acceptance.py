@@ -22,7 +22,7 @@ from hmm_frontier import (
     loglik_batch,
     losses,
     lower_bound_pair,
-    min_distance_fit,
+    min_distance_fits,
     phipsi_to_theta,
     r_of_phi,
     rho,
@@ -139,9 +139,8 @@ def test_criterion_05_estimation_rate_slopes(capsys):
     rows = []
     for n in (10**3, 10**4, 10**5):
         batch = sample_paths(th, n, 200, derive_seed(105, n))
-        for i in range(200):
-            phat = empirical_triple_law(batch.observed[i], 3)
-            fit = min_distance_fit(phat, box)
+        phats = [empirical_triple_law(batch.observed[i], 3) for i in range(200)]
+        for fit in min_distance_fits(phats, box):
             rec = losses(fit.estimate, truth)
             rows.append(
                 {
@@ -160,9 +159,8 @@ def test_criterion_05_estimation_rate_slopes(capsys):
 def test_criterion_06_noiseless_recovery(capsys):
     box = ConstraintBox(delta=0.1, epsilon=0.3, zeta=0.3, L=0.3, K=3)
     worst = 0.0
-    for i in range(50):
-        truth = sample_phipsi(box, derive_seed(106, i))
-        fit = min_distance_fit(triple_law_phipsi(truth), box)
+    truths = [sample_phipsi(box, derive_seed(106, i)) for i in range(50)]
+    for truth, fit in zip(truths, min_distance_fits([triple_law_phipsi(t) for t in truths], box)):
         rec = losses(fit.estimate, truth)
         worst = max(
             worst, rec.phi1, rec.phi2, rec.phi3, rec.psi1, rec.psi2, rec.pq, rec.f

@@ -62,8 +62,12 @@ class TestEstimate:
         )
         assert code == 0
         result = json.loads(out_file.read_text())
-        assert set(result) >= {"theta", "estimate", "objective", "converged", "init_fallback"}
+        assert set(result) >= {
+            "theta", "estimate", "objective", "converged", "init_fallback", "nfev", "best_start",
+        }
         assert isinstance(result["init_fallback"], bool)
+        assert result["best_start"] in {"moment", "flip", "witness", "random-0"}
+        assert result["nfev"] > result["starts"]
         assert 0 < result["theta"]["p"] <= 1
 
     def test_reads_csv_input(self, capsys, tmp_path):
@@ -227,6 +231,18 @@ BAD_INPUTS = {
             d, "params-b.json", '{"p": 0.2, "q": 0.3, "f0": [0.5, 0.5, 0.0], "f1": [0.3, 0.3, 0.4]}'
         ),
     ],
+    "unknown-sweep-target": lambda d: ["rate-sweep", "--n-grid", "300", "--target", "nope"],
+    **{
+        f"negative-seed-{command}": lambda d, command=command: [command, *args, "--seed", "-1"]
+        for command, args in {
+            "simulate": [],
+            "estimate": ["--input", "obs.txt"],
+            "rate-sweep": [],
+            "kl-probe": ["--params-a", "a.json", "--params-b", "b.json"],
+            "equiv-probe": [],
+            "threshold-probe": [],
+        }.items()
+    },
 }
 
 
@@ -380,7 +396,7 @@ class TestProbes:
 
 
 # Runs one command in a fresh interpreter and prints its exit code and whether
-# scipy was loaded: only the commands that fit need it.
+# scipy was loaded: no command needs it, the fitting ones included.
 FRESH = (
     "import sys; from hmm_frontier.cli import cli_main; "
     "code = cli_main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
@@ -395,6 +411,9 @@ TOY_RUNS = {
     "equiv-probe": lambda d: ["equiv-probe", "--pairs", "5"],
     "lb-pair": lambda d: ["lb-pair"],
     "threshold-probe": lambda d: ["threshold-probe", "--replicas", "2"],
+    "rate-sweep": lambda d: [
+        "rate-sweep", "--n-grid", "300", "--replicas", "1", "--epsilon", "0.3", "--zeta", "0.3",
+    ],
     "estimate": lambda d: [
         "estimate", "--input", write(d, "obs.txt", "1\n2\n3\n" * 100),
         "--epsilon", "0.3", "--zeta", "0.3", "--starts", "0",
@@ -403,7 +422,7 @@ TOY_RUNS = {
 
 
 @pytest.mark.parametrize("command", list(TOY_RUNS))
-def test_only_estimate_loads_scipy(tmp_path, command):
+def test_no_command_loads_scipy(tmp_path, command):
     import hmm_frontier
 
     src = str(Path(hmm_frontier.__file__).resolve().parents[1])
@@ -413,6 +432,6 @@ def test_only_estimate_loads_scipy(tmp_path, command):
     proc = subprocess.run(
         [sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env, check=False
     )
-    assert proc.stdout.split() == ["0", str(command == "estimate")], proc.stderr
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
     if command == "estimate":
         assert json.loads((tmp_path / "out").read_text())["objective"] >= 0

@@ -7,6 +7,7 @@ from hmm_frontier import (
     PhiPsiParams,
     ThetaParams,
     canonicalize,
+    empirical_triple_law,
     estimate_theta,
     losses,
     min_distance_fit,
@@ -18,7 +19,16 @@ from hmm_frontier import (
     triple_law_phipsi,
     validate_phipsi,
 )
-from hmm_frontier.estimator import _GRID_POINTS
+from hmm_frontier import estimator
+from hmm_frontier.estimator import (
+    _FATOL,
+    _GRID_POINTS,
+    _MAX_EVALS,
+    _XATOL,
+    _nelder_mead,
+    _objective,
+    min_distance_fits,
+)
 from hmm_frontier.triple_law import TripleLaw
 
 from test_params import worked_box, worked_theta
@@ -95,6 +105,120 @@ class TestMinDistanceFit:
         bad = ConstraintBox(delta=0.4, epsilon=0.5, zeta=0.1, L=0.3, K=3)
         with pytest.raises(NoMemberError):
             min_distance_fit(triple_law_phipsi(worked_pp()), bad, random_starts=1)
+
+
+def scipy_nelder_mead(f, simplex, maxfev):
+    """The reference: scipy's Nelder-Mead on one row's objective."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        lambda z: float(f(z[None])[0]), simplex[0], method="Nelder-Mead",
+        options={"maxfev": maxfev, "fatol": _FATOL, "xatol": _XATOL, "initial_simplex": simplex},
+    )
+    return res.final_simplex, res.nfev
+
+
+def assert_rows_match_scipy(f, simplexes, maxfev):
+    """Every row of one lockstep run equals scipy on that row alone, bit for bit."""
+    sim, fsim, nfev = _nelder_mead(f, simplexes, maxfev, _FATOL, _XATOL)
+    for b, simplex in enumerate(simplexes):
+        row = lambda z, b=b: f(z, np.full(len(z), b))  # noqa: E731
+        (ref_sim, ref_fsim), ref_nfev = scipy_nelder_mead(row, simplex, maxfev)
+        np.testing.assert_array_equal(sim[b], ref_sim, err_msg=f"row {b}")
+        np.testing.assert_array_equal(fsim[b], ref_fsim, err_msg=f"row {b}")
+        assert nfev[b] == ref_nfev, f"row {b}"
+    return fsim, nfev
+
+
+def simplexes_at(z0, steps):
+    return np.stack([np.vstack([z, z + step * np.eye(z.size)]) for z, step in zip(z0, steps)])
+
+
+# Small stacks score all trial points of a step in one call, larger ones in
+# two calls; both must take scipy's path.
+BOTH_PATHS = pytest.mark.parametrize("speculate_rows", [32, 0], ids=["one-call", "two-calls"])
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize("maxfev", [37, 123, 400, 2000])
+    @BOTH_PATHS
+    def test_fit_objective_matches_scipy(self, maxfev, speculate_rows, monkeypatch):
+        monkeypatch.setattr(estimator, "_SPECULATE_ROWS", speculate_rows)
+        box = worked_box()
+        rng = np.random.default_rng(maxfev)
+        truths = [sample_phipsi(box, [77, i]) for i in range(3)]
+        targets = np.stack([
+            triple_law_phipsi(t).probs * rng.uniform(0.99, 1.01, (3, 3, 3)) for t in truths
+        ])
+        owner = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        z0 = rng.normal(0.0, 0.7, (owner.size, 9))
+        # scalars far outside the box clip to its edge, so vertices that differ
+        # only there tie, as they often do in real fits
+        z0[5:, :3] = [[4.0, 5.0, -3.0], [-4.0, -5.0, 9.0], [6.0, 0.5, -2.0]]
+        steps = [0.05, 0.05, 0.3, 1e-3, 0.05, 0.05, 0.05, 0.2]
+
+        def f(points, rows):
+            return _objective(points, targets[owner[rows]], box)
+
+        simplexes = simplexes_at(z0, steps)
+        start = f(simplexes.reshape(-1, 9), np.repeat(np.arange(owner.size), 10)).reshape(-1, 10)
+        assert any(len(set(row)) < row.size for row in start)  # tied vertex values
+        _, nfev = assert_rows_match_scipy(f, simplexes, maxfev)
+        assert (nfev <= maxfev).all()
+        if maxfev < 400:
+            assert (nfev == maxfev).all()
+
+    @BOTH_PATHS
+    def test_budget_ends_inside_a_step_as_scipy_does(self, speculate_rows, monkeypatch):
+        """A flat row shrinks every step (2 + N calls) and a descending linear
+        row expands every step (2 calls), so these budgets run out in the
+        middle of a shrink and on a refused expansion."""
+        monkeypatch.setattr(estimator, "_SPECULATE_ROWS", speculate_rows)
+        n = 4
+        kind = np.array([0, 0, 0, 1, 1])  # 0: flat, 1: -sum(x)
+
+        def f(points, rows):
+            return np.where(kind[rows] == 0, 0.0, -points.sum(axis=1))
+
+        rng = np.random.default_rng(5)
+        simplexes = simplexes_at(rng.normal(size=(kind.size, n)), [0.5, 1.0, 0.25, 0.5, 1.0])
+        for shrink_calls in range(n + 1):
+            maxfev = (n + 1) + 3 * (n + 2) + 2 + shrink_calls
+            _, nfev = assert_rows_match_scipy(f, simplexes, maxfev)
+            assert (nfev[kind == 0] == maxfev).all()
+        for maxfev in (n + 1 + 2 * 7, n + 1 + 2 * 7 + 1):
+            _, nfev = assert_rows_match_scipy(f, simplexes, maxfev)
+            assert (nfev[kind == 1] == maxfev).all()
+        # the reflection before a refused expansion is dropped as well
+        even = _nelder_mead(f, simplexes, n + 1 + 2 * 7, _FATOL, _XATOL)[0]
+        odd = _nelder_mead(f, simplexes, n + 1 + 2 * 7 + 1, _FATOL, _XATOL)[0]
+        np.testing.assert_array_equal(even[kind == 1], odd[kind == 1])
+
+
+class TestStackedFits:
+    def test_a_target_fits_the_same_alone_and_stacked(self):
+        box = worked_box()
+        theta = worked_theta()
+        phats = [
+            empirical_triple_law(sample_path(theta, 3000, [41, i]).observed, box.K)
+            for i in range(3)
+        ]
+        stacked = min_distance_fits(phats, box, random_starts=1, seed=4)
+        for phat, fit in zip(phats, stacked):
+            alone = min_distance_fit(phat, box, random_starts=1, seed=4)
+            assert fit.objective == alone.objective
+            assert fit.grid_floor == alone.grid_floor
+            assert (fit.nfev, fit.best_start) == (alone.nfev, alone.best_start)
+            np.testing.assert_array_equal(fit.estimate.phi, alone.estimate.phi)
+            np.testing.assert_array_equal(fit.estimate.psi1, alone.estimate.psi1)
+            np.testing.assert_array_equal(fit.estimate.psi2, alone.estimate.psi2)
+        assert min_distance_fits([], box) == []
+
+    def test_result_records_its_search(self):
+        pp = worked_pp()
+        fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=2)
+        assert fit.best_start in {"moment", "flip", "witness", "random-0", "random-1"}
+        assert fit.starts <= fit.nfev <= fit.starts * _MAX_EVALS
 
 
 def reference_grid_floor(target, best, box):

@@ -25,7 +25,6 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from hmm_frontier.cli import cli_main
 
@@ -78,7 +77,7 @@ def stored(name: str, stream: str) -> str:
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def test_outputs_match_goldens():
