@@ -61,7 +61,6 @@ _XATOL = 1e-10
 # and inside contraction
 _TRIAL_A = np.array([3.0, 1.5, 0.5])[:, None, None]
 _TRIAL_B = np.array([2.0, 0.5, -0.5])[:, None, None]
-_SPECULATE_ROWS = 32  # stacks up to this many rows score all trial points at once
 _PENALTY = 10.0  # weight of the phi3-infeasibility penalty in the objective
 _GRID_POINTS = 9  # grid-floor points per scalar coordinate
 
@@ -271,14 +270,11 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
         # a * xbar - b * worst, rounded as scipy's own expressions
         trials = _TRIAL_A * xbar - _TRIAL_B * worst
         here = np.arange(rows.size)
-        # a small stack scores every trial point in one call, which costs less
-        # than a second call for the points it needs
-        speculate = rows.size <= _SPECULATE_ROWS
-        if speculate:
-            scores = f(np.concatenate([xr[None], trials]).reshape(-1, N), np.tile(rows, 4))
-            fxr, ftrials = scores[: rows.size], scores[rows.size :].reshape(3, -1)
-        else:
-            fxr = f(xr, rows)
+        # every trial point is scored in the reflection's call, which costs
+        # less than a second call on the few-row stack of one fit; nfev
+        # counts only the calls scipy would make
+        scores = f(np.concatenate([xr[None], trials]).reshape(-1, N), np.tile(rows, 4))
+        fxr, ftrials = scores[: rows.size], scores[rows.size :].reshape(3, -1)
         nfev += 1
         expand = fxr < fsim[:, 0]
         accept = ~expand & (fxr < fsim[:, -2])
@@ -286,12 +282,7 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
         trial = np.where(expand, 0, np.where(outside, 1, 2))
         x2 = trials[trial, here]
         second = ~accept & (nfev < maxfev)
-        if speculate:
-            f2 = np.where(second, ftrials[trial, here], np.inf)
-        else:
-            f2 = np.full(rows.size, np.inf)
-            if second.any():
-                f2[second] = f(x2[second], rows[second])
+        f2 = np.where(second, ftrials[trial, here], np.inf)
         nfev += second
         # the expansion point wins over the reflection when below it, the
         # outside contraction is taken when not above the reflection, the

@@ -233,14 +233,18 @@ BAD_INPUTS = {
     ],
     "unknown-sweep-target": lambda d: ["rate-sweep", "--n-grid", "300", "--target", "nope"],
     **{
-        f"negative-seed-{command}": lambda d, command=command: [command, *args, "--seed", "-1"]
+        f"negative-seed-{command}": lambda d, command=command, args=args: [
+            command, *args(d), "--seed", "-1",
+        ]
         for command, args in {
-            "simulate": [],
-            "estimate": ["--input", "obs.txt"],
-            "rate-sweep": [],
-            "kl-probe": ["--params-a", "a.json", "--params-b", "b.json"],
-            "equiv-probe": [],
-            "threshold-probe": [],
+            "simulate": lambda d: [],
+            "estimate": lambda d: ["--input", write(d, "obs.txt", "1\n2\n3\n2\n1\n" * 40)],
+            "rate-sweep": lambda d: [],
+            "kl-probe": lambda d: [
+                "--params-a", native_params(d), "--params-b", native_params(d),
+            ],
+            "equiv-probe": lambda d: [],
+            "threshold-probe": lambda d: [],
         }.items()
     },
 }
@@ -254,6 +258,10 @@ def test_bad_input_is_a_named_error(capsys, tmp_path, case):
     assert err.startswith("error:")
     if case.startswith("params-b-"):
         assert f"cannot read {tmp_path / 'params-b.json'}: " in err
+    if case.startswith("negative-seed-"):
+        assert "argument --seed" in err
+    if case == "unknown-sweep-target":
+        assert "argument --target" in err
 
 
 @pytest.mark.parametrize(

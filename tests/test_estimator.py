@@ -19,7 +19,6 @@ from hmm_frontier import (
     triple_law_phipsi,
     validate_phipsi,
 )
-from hmm_frontier import estimator
 from hmm_frontier.estimator import (
     _FATOL,
     _GRID_POINTS,
@@ -134,16 +133,9 @@ def simplexes_at(z0, steps):
     return np.stack([np.vstack([z, z + step * np.eye(z.size)]) for z, step in zip(z0, steps)])
 
 
-# Small stacks score all trial points of a step in one call, larger ones in
-# two calls; both must take scipy's path.
-BOTH_PATHS = pytest.mark.parametrize("speculate_rows", [32, 0], ids=["one-call", "two-calls"])
-
-
 class TestLockstepNelderMead:
     @pytest.mark.parametrize("maxfev", [37, 123, 400, 2000])
-    @BOTH_PATHS
-    def test_fit_objective_matches_scipy(self, maxfev, speculate_rows, monkeypatch):
-        monkeypatch.setattr(estimator, "_SPECULATE_ROWS", speculate_rows)
+    def test_fit_objective_matches_scipy(self, maxfev):
         box = worked_box()
         rng = np.random.default_rng(maxfev)
         truths = [sample_phipsi(box, [77, i]) for i in range(3)]
@@ -168,12 +160,10 @@ class TestLockstepNelderMead:
         if maxfev < 400:
             assert (nfev == maxfev).all()
 
-    @BOTH_PATHS
-    def test_budget_ends_inside_a_step_as_scipy_does(self, speculate_rows, monkeypatch):
+    def test_budget_ends_inside_a_step_as_scipy_does(self):
         """A flat row shrinks every step (2 + N calls) and a descending linear
         row expands every step (2 calls), so these budgets run out in the
         middle of a shrink and on a refused expansion."""
-        monkeypatch.setattr(estimator, "_SPECULATE_ROWS", speculate_rows)
         n = 4
         kind = np.array([0, 0, 0, 1, 1])  # 0: flat, 1: -sum(x)
 
