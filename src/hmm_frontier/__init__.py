@@ -16,6 +16,7 @@ from .errors import (
     NoMemberError,
     NonInvertibleMomentError,
     NumericalDegeneracyError,
+    SamplerExhaustedError,
     ValidationError,
 )
 from .estimator import (
@@ -47,11 +48,13 @@ from .filter_kl import (
 )
 from .params import (
     ConstraintBox,
+    MemberSample,
     PhiPsiParams,
     ThetaParams,
     canonicalize,
     exists_witness,
     phipsi_to_theta,
+    sample_members,
     sample_phipsi,
     stationary_dist,
     switch_labels,

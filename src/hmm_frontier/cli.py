@@ -276,8 +276,8 @@ def _run(args) -> None:
         try:
             slope, _, r2 = slope_fit(rows, args.target)
             print(f"# slope({args.target}) = {slope:.4f}  r2 = {r2:.4f}", file=sys.stderr)
-        except FrontierError:
-            pass
+        except FrontierError as exc:
+            print(f"# slope({args.target}) not fitted: {exc}", file=sys.stderr)
     elif cmd == "kl-probe":
         a = _read(args.params_a, _params)
         b = _read(args.params_b, _params)
@@ -299,6 +299,7 @@ def _run(args) -> None:
                 "spread": summary.spread,
                 "pairs_used": summary.pairs_used,
                 "pairs_skipped": summary.pairs_skipped,
+                "candidates": summary.candidates,
             },
         )
     elif cmd == "lb-pair":

@@ -34,6 +34,10 @@ class NoMemberError(FrontierError):
     """The requested constraint box contains no valid parameter."""
 
 
+class SamplerExhaustedError(FrontierError):
+    """Rejection sampling drew its whole per-member budget without a box member."""
+
+
 class InsufficientDataError(FrontierError):
     """Too few observations for the requested statistic."""
 

@@ -50,7 +50,14 @@ from .params import (
     validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law
-from .triple_law import MomentVector, TripleLaw, moment_tensor, phi_of_m, triple_tensor
+from .triple_law import (
+    MomentVector,
+    TripleLaw,
+    _row_dot,
+    moment_tensor,
+    phi_of_m,
+    triple_tensor,
+)
 
 _SIGN_TOL = 1e-12
 _SIMPLEX_STEP = 0.05
@@ -194,11 +201,6 @@ def _encode(pp: PhiPsiParams) -> np.ndarray:
     )
 
 
-def _row_sq(d: np.ndarray) -> np.ndarray:
-    """Sum of squares of each row, one BLAS dot per row as ``np.linalg.norm`` takes it."""
-    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-
-
 def _decode(Z: np.ndarray, box: ConstraintBox):
     """Map rows of unconstrained coordinates to box-feasible arrays plus a penalty."""
     K = box.K
@@ -207,7 +209,7 @@ def _decode(Z: np.ndarray, box: ConstraintBox):
     eu = np.exp(u - u.max(axis=1, keepdims=True))
     psi1 = eu / eu.sum(axis=1, keepdims=True)
     w = w - w.sum(axis=1, keepdims=True) / K
-    norm = np.sqrt(_row_sq(w))[:, None]
+    norm = np.sqrt(_row_dot(w, w))[:, None]
     ok = norm > _SIGN_TOL
     if ok.all():
         psi2 = w / norm
@@ -224,7 +226,8 @@ def _objective(Z: np.ndarray, targets: np.ndarray, box: ConstraintBox) -> np.nda
     phi1, phi2, phi3, psi1, psi2, pen = _decode(Z, box)
     cells = (slice(None), None, None, None)
     t = triple_tensor(phi1[cells], phi2[cells], phi3[cells], psi1, psi2)
-    return np.sqrt(_row_sq((t - targets).reshape(len(Z), -1))) + _PENALTY * pen
+    d = (t - targets).reshape(len(Z), -1)
+    return np.sqrt(_row_dot(d, d)) + _PENALTY * pen
 
 
 def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):

@@ -14,7 +14,8 @@ Two coordinate systems are supported and interconverted:
 The map is invertible (up to label switching) and the inverse is explicit.
 This module owns r(phi) and the label-switch sign rule, ``leading_sign``.
 Constraint boxes describe the parameter classes over which minimax sweeps
-run; membership is checked inequality by inequality with signed slack.
+run; membership is checked inequality by inequality with signed slack, and
+``sample_members`` draws members by block rejection sampling.
 
 All types are immutable values; all operations are pure and only consume
 randomness through an explicit seed.
@@ -32,6 +33,7 @@ from .errors import (
     ConstraintViolationError,
     DegenerateChainError,
     NoMemberError,
+    SamplerExhaustedError,
     ValidationError,
 )
 
@@ -39,6 +41,8 @@ DENSITY_TOL = 1e-12
 ZERO_TOL = 1e-12
 
 _MAX_REJECTIONS = 10_000
+# Candidates per block of ``sample_members``: part of the seed contract.
+SAMPLER_BLOCK = 256
 
 
 def _as_density(v, name: str) -> np.ndarray:
@@ -158,15 +162,19 @@ def r_of_phi(phi) -> float:
     return 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
 
 
-def emission_margin(phi1, phi3, psi1, psi2) -> float:
+def emission_margin(phi1, phi3, psi1, psi2):
     """Smallest slack in the emission nonnegativity condition.
 
     Both induced emission densities are entrywise nonnegative iff
 
         psi1(k) - phi1*phi3*psi2(k)/2 - phi3*|psi2(k)|/2 >= 0   for all k.
+
+    phi of shape ``(...)`` and psi of shape ``(..., K)`` give margins of shape ``(...)``.
     """
+    phi1 = np.asarray(phi1)[..., None]
+    phi3 = np.asarray(phi3)[..., None]
     vals = psi1 - 0.5 * phi1 * phi3 * psi2 - 0.5 * phi3 * np.abs(psi2)
-    return float(vals.min())
+    return vals.min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,12 @@ class ConstraintBox:
     K: int
 
     def __post_init__(self):
+        bounds = (self.delta, self.epsilon, self.zeta, self.L)
+        if not all(math.isfinite(x) for x in bounds):
+            raise ValidationError(
+                f"box bounds must be finite: delta={self.delta}, epsilon={self.epsilon}, "
+                f"zeta={self.zeta}, L={self.L}"
+            )
         if not (0.0 < self.delta < 1.0) or not (0.0 < self.epsilon < 1.0):
             raise ValidationError("delta and epsilon must lie in (0, 1)")
         if self.zeta <= 0.0:
@@ -321,17 +335,32 @@ class MembershipReport:
         raise KeyError(name)
 
 
-def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
+SLACK_NAMES = (
+    "min_transition",
+    "max_transition",
+    "phi2_magnitude",
+    "phi3_magnitude",
+    "emission_nonneg",
+    "spectral_gap",
+    "r_lower_bound",
+)
+
+
+def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> np.ndarray:
+    """The signed slacks named in SLACK_NAMES, stacked on the first axis: phi of
+    shape ``(...)`` and psi of shape ``(..., K)`` give shape ``(7, ...)``."""
     r = r_of_phi((phi1, phi2, phi3))
-    return [
-        ("min_transition", 0.5 * (1.0 - phi2) * (1.0 - abs(phi1)) - box.delta),
-        ("max_transition", 1.0 - 0.5 * (1.0 - phi2) * (1.0 + abs(phi1))),
-        ("phi2_magnitude", abs(phi2) - box.epsilon),
-        ("phi3_magnitude", phi3 - box.zeta),
-        ("emission_nonneg", emission_margin(phi1, phi3, psi1, psi2)),
-        ("spectral_gap", (1.0 - box.L) - abs(phi2)),
-        ("r_lower_bound", abs(r) - box.delta * box.epsilon * box.zeta**2 / 4.0),
-    ]
+    return np.stack(
+        [
+            0.5 * (1.0 - phi2) * (1.0 - np.abs(phi1)) - box.delta,
+            1.0 - 0.5 * (1.0 - phi2) * (1.0 + np.abs(phi1)),
+            np.abs(phi2) - box.epsilon,
+            np.asarray(phi3) - box.zeta,
+            emission_margin(phi1, phi3, psi1, psi2),
+            (1.0 - box.L) - np.abs(phi2),
+            np.abs(r) - box.delta * box.epsilon * box.zeta**2 / 4.0,
+        ]
+    )
 
 
 def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
@@ -340,11 +369,10 @@ def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
     The ``r_lower_bound`` entry is a consistency check implied by the other
     inequalities; it is reported alongside them.
     """
+    slacks = _membership_slacks(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box)
     checks = tuple(
-        MembershipCheck(name, slack >= -ZERO_TOL, float(slack))
-        for name, slack in _membership_slacks(
-            pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box
-        )
+        MembershipCheck(name, bool(slack >= -ZERO_TOL), float(slack))
+        for name, slack in zip(SLACK_NAMES, slacks)
     )
     return MembershipReport(checks=checks)
 
@@ -374,27 +402,110 @@ def exists_witness(box: ConstraintBox) -> PhiPsiParams:
     return pp
 
 
-def sample_phipsi(box: ConstraintBox, seed) -> PhiPsiParams:
-    """Random member of the box via rejection sampling, seeded and deterministic.
+def _constructible(phi1, phi2, phi3, psi1, psi2) -> np.ndarray:
+    """Where ``PhiPsiParams`` would accept each row of a stack, with its tolerances:
+    phi ranges, psi1 finite, nonnegative and summing to 1, psi2 of unit norm and
+    zero sum, and the emission margin."""
+    return (
+        (np.abs(phi1) <= 1.0 + ZERO_TOL)
+        & (np.abs(phi2) <= 1.0 + ZERO_TOL)
+        & (phi3 >= 0.0)
+        & np.isfinite(psi1).all(axis=-1)
+        & (psi1 >= -DENSITY_TOL).all(axis=-1)
+        & (np.abs(psi1.sum(axis=-1) - 1.0) <= DENSITY_TOL)
+        & (np.abs(np.linalg.norm(psi2, axis=-1) - 1.0) <= DENSITY_TOL)
+        & (np.abs(psi2.sum(axis=-1)) <= DENSITY_TOL)
+        & (emission_margin(phi1, phi3, psi1, psi2) >= -DENSITY_TOL)
+    )
 
-    Falls back to the deterministic witness after 10,000 rejections.
+
+@dataclass(frozen=True, eq=False)
+class MemberSample:
+    """Box members from ``sample_members`` as stacked coordinates.
+
+    ``phi1``, ``phi2`` and ``phi3`` have shape ``(count,)``, ``psi1`` and
+    ``psi2`` shape ``(count, K)``.  ``candidates`` counts the candidates
+    examined up to and including the last member, so ``candidates - count``
+    of them were rejected.
     """
-    witness = exists_witness(box)  # raises NoMemberError on an empty box
+
+    phi1: np.ndarray
+    phi2: np.ndarray
+    phi3: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    candidates: int
+
+    def member(self, i: int) -> PhiPsiParams:
+        return PhiPsiParams(
+            phi1=float(self.phi1[i]),
+            phi2=float(self.phi2[i]),
+            phi3=float(self.phi3[i]),
+            psi1=self.psi1[i],
+            psi2=self.psi2[i],
+        )
+
+
+def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
+    """``count`` random members of the box by block rejection sampling, seeded
+    and deterministic.
+
+    Candidates come from one ``default_rng(seed)`` stream in blocks of
+    ``SAMPLER_BLOCK``.  Each block draws, in this order, as vectors of that
+    length: phi1 uniform on [-b1, b1] with b1 = (1 - delta) / (1 + delta);
+    |phi2| uniform on [epsilon, phi2_max]; the phi2 signs (+ where a uniform
+    is below 1/2); phi3 uniform on [zeta, sqrt(2)].  Then psi1 ~ Dirichlet(1)
+    as B x K, and standard normal B x K rows, centred and normalized into psi2.
+    A candidate is a member when its seven membership slacks are >= 0 and
+    ``PhiPsiParams`` would accept it; members are taken in draw order, so the
+    first m members for any ``count`` >= m are the same.
+
+    Raises NoMemberError on an empty box, and SamplerExhaustedError when one
+    member needs more than ``_MAX_REJECTIONS`` candidates.
+    """
+    if count < 1:
+        raise ValidationError(f"count must be >= 1: {count}")
+    exists_witness(box)  # raises NoMemberError on an empty box
     rng = np.random.default_rng(seed)
-    K = box.K
+    K, B = box.K, SAMPLER_BLOCK
     b1 = (1.0 - box.delta) / (1.0 + box.delta)
-    hi2 = box.phi2_max
-    for _ in range(_MAX_REJECTIONS):
-        phi1 = rng.uniform(-b1, b1)
-        phi2 = rng.uniform(box.epsilon, hi2) * (1.0 if rng.random() < 0.5 else -1.0)
-        phi3 = rng.uniform(box.zeta, math.sqrt(2.0))
-        psi1 = rng.dirichlet(np.ones(K))
-        w = rng.standard_normal(K)
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm < 1e-12:
-            continue
-        psi2 = w / norm
-        if all(s >= 0.0 for _, s in _membership_slacks(phi1, phi2, phi3, psi1, psi2, box)):
-            return PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=psi2)
-    return witness
+    alpha = np.ones(K)
+    blocks = []
+    taken = drawn = since = 0  # ``since``: candidates since the last member
+    while taken < count:
+        phi1 = rng.uniform(-b1, b1, B)
+        phi2 = rng.uniform(box.epsilon, box.phi2_max, B)
+        phi2 = np.where(rng.random(B) < 0.5, phi2, -phi2)
+        phi3 = rng.uniform(box.zeta, math.sqrt(2.0), B)
+        psi1 = rng.dirichlet(alpha, B)
+        w = rng.standard_normal((B, K))
+        w -= w.mean(axis=1, keepdims=True)
+        # a row too short to normalize fails the unit-norm check below
+        psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
+        ok = (_membership_slacks(phi1, phi2, phi3, psi1, psi2, box) >= 0.0).all(axis=0)
+        ok &= _constructible(phi1, phi2, phi3, psi1, psi2)
+        pos = np.flatnonzero(ok)[: count - taken]
+        # candidates each member took; without one, the next takes more than since + B
+        needs = np.diff(pos, prepend=-1 - since) if len(pos) else np.array([since + B + 1])
+        over = needs > _MAX_REJECTIONS
+        if over.any():
+            raise SamplerExhaustedError(
+                f"member {taken + int(over.argmax())} of {count} needs more than "
+                f"{_MAX_REJECTIONS} candidates: the box has too few members for "
+                f"rejection sampling (K={K})"
+            )
+        if len(pos):
+            blocks.append((phi1[pos], phi2[pos], phi3[pos], psi1[pos], psi2[pos]))
+            taken += len(pos)
+            since = B - 1 - int(pos[-1])
+        else:
+            since += B
+        drawn += B
+    return MemberSample(
+        *(np.concatenate(part) for part in zip(*blocks)), candidates=drawn - since
+    )
+
+
+def sample_phipsi(box: ConstraintBox, seed) -> PhiPsiParams:
+    """Random member of the box: member 0 of ``sample_members(box, 1, seed)``."""
+    return sample_members(box, 1, seed).member(0)

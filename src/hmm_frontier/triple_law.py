@@ -30,12 +30,14 @@ from .params import (
     PhiPsiParams,
     ThetaParams,
     r_of_phi,
-    sample_phipsi,
+    sample_members,
     stationary_dist,
     switch_labels,
 )
 
 ENTRY_TOL = 1e-14
+# Pairs the equivalence probe scores per stack: bounds its memory, not its results.
+_PROBE_CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +141,30 @@ def triple_law_phipsi(pp: PhiPsiParams) -> TripleLaw:
     return TripleLaw(probs=triple_tensor(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2))
 
 
-def _sign(x: float) -> float:
-    return 1.0 if x >= 0.0 else -1.0
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> over the last axis, one BLAS dot per row as ``np.dot`` and
+    ``np.linalg.norm`` take it, so a row's value does not depend on the stack."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _rho_stack(a, b) -> np.ndarray:
+    """rho between stacks ``a`` and ``b`` of (phi1, phi2, phi3, psi1, psi2),
+    phi of shape ``(...)`` and psi of shape ``(..., K)``; the one writing of
+    the five terms."""
+    ma = m_of_phi(a[:3])
+    mb = m_of_phi(b[:3])
+    s = np.where(_row_dot(a[4], b[4]) >= 0.0, 1.0, -1.0)
+    d1 = a[3] - b[3]
+    d2 = a[4] - s[..., None] * b[4]
+    return np.maximum.reduce(
+        [
+            np.abs(ma.m1 - mb.m1),
+            np.abs(ma.m2 - mb.m2),
+            np.abs(ma.m3 - s * mb.m3),
+            np.sqrt(_row_dot(d1, d1)),
+            np.maximum(np.abs(ma.m1), np.abs(mb.m1)) * np.sqrt(_row_dot(d2, d2)),
+        ]
+    )
 
 
 def rho(a: PhiPsiParams, b: PhiPsiParams) -> float:
@@ -149,17 +173,8 @@ def rho(a: PhiPsiParams, b: PhiPsiParams) -> float:
     The third moment and the psi2 direction enter with the sign of
     <psi2, psi2~> (sign(0) = +1), which absorbs the switch symmetry.
     """
-    ma = m_of_phi((a.phi1, a.phi2, a.phi3))
-    mb = m_of_phi((b.phi1, b.phi2, b.phi3))
-    s = _sign(float(np.dot(a.psi2, b.psi2)))
-    terms = (
-        abs(ma.m1 - mb.m1),
-        abs(ma.m2 - mb.m2),
-        abs(ma.m3 - s * mb.m3),
-        float(np.linalg.norm(a.psi1 - b.psi1)),
-        max(abs(ma.m1), abs(mb.m1)) * float(np.linalg.norm(a.psi2 - s * b.psi2)),
-    )
-    return max(terms)
+    coords = [(p.phi1, p.phi2, p.phi3, p.psi1, p.psi2) for p in (a, b)]
+    return float(_rho_stack(*coords))
 
 
 @dataclass(frozen=True)
@@ -170,6 +185,7 @@ class RatioProbeSummary:
     max_ratio: float
     pairs_used: int
     pairs_skipped: int
+    candidates: int
 
     @property
     def spread(self) -> float:
@@ -181,28 +197,35 @@ def equivalence_ratio_probe(
 ) -> RatioProbeSummary:
     """Probe the constants in the two-sided comparison of rho with the tensor norm.
 
+    Pair i is members 2i and 2i + 1 of one ``sample_members(box, 2 *
+    pair_count, seed)`` call, so the pairs of a smaller probe with the same
+    seed are a prefix of a larger one's; ``candidates`` is that call's.
     Pairs with rho = 0 (e.g. label-switched copies) are skipped; if every
     pair degenerates a DegenerateProbeError is raised.
     """
     if pair_count < 1:
         raise ValidationError("pair_count must be >= 1")
-    ratios = []
-    skipped = 0
-    for i in range(pair_count):
-        x = sample_phipsi(box, [seed, 2 * i])
-        y = sample_phipsi(box, [seed, 2 * i + 1])
-        d = rho(x, y)
-        if d == 0.0:
-            skipped += 1
-            continue
-        ratios.append(triple_law_phipsi(x).distance(triple_law_phipsi(y)) / d)
-    if not ratios:
+    sample = sample_members(box, 2 * pair_count, seed)
+    coords = (sample.phi1, sample.phi2, sample.phi3, sample.psi1, sample.psi2)
+    cells = (slice(None), None, None, None)
+    dist, d = [], []
+    for lo in range(0, 2 * pair_count, 2 * _PROBE_CHUNK):
+        chunk = [c[lo : lo + 2 * _PROBE_CHUNK] for c in coords]
+        t = triple_tensor(*(c[cells] for c in chunk[:3]), *chunk[3:])
+        diff = (t[0::2] - t[1::2]).reshape(len(t) // 2, -1)
+        dist.append(np.sqrt(_row_dot(diff, diff)))
+        d.append(_rho_stack(*([c[i::2] for c in chunk] for i in (0, 1))))
+    dist, d = np.concatenate(dist), np.concatenate(d)
+    used = d != 0.0
+    if not used.any():
         raise DegenerateProbeError("all sampled pairs had rho = 0")
+    ratios = dist[used] / d[used]
     return RatioProbeSummary(
-        min_ratio=min(ratios),
-        max_ratio=max(ratios),
-        pairs_used=len(ratios),
-        pairs_skipped=skipped,
+        min_ratio=float(ratios.min()),
+        max_ratio=float(ratios.max()),
+        pairs_used=int(used.sum()),
+        pairs_skipped=int((~used).sum()),
+        candidates=sample.candidates,
     )
 
 

@@ -9,7 +9,7 @@ Run from the repository root:
     PYTHONPATH=src python tests/fit_bank.py --against bank.jsonl
 
 The first form prints one JSON line per fit (box, truth, n, objective,
-``converged``, ``starts`` and seconds).  With ``--against FILE`` it also
+``converged``, ``starts``, ``best_start``, ``nfev`` and seconds).  With ``--against FILE`` it also
 prints, for each fit, the relative difference of its objective from the
 same fit in FILE, and then how many fits are worse, better or the same at
 1e-9 relative and whether ``converged`` and ``starts`` agree everywhere.
@@ -59,6 +59,8 @@ def run_bank():
                     "objective": fit.objective,
                     "converged": fit.converged,
                     "starts": fit.starts,
+                    "best_start": fit.best_start,
+                    "nfev": fit.nfev,
                     "seconds": round(time.perf_counter() - t0, 4),
                 }
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,26 @@ class TestProbes:
         summary = json.loads(out)
         assert summary["min_ratio"] > 0
         assert summary["pairs_used"] == 50
+        assert summary["candidates"] >= 100
+
+    def test_equiv_probe_exhausted_sampler_exits_1(self, capsys):
+        """At K=20 on the default box some member needs more than the sampler's
+        budget: one error line, never a witness pair."""
+        code, out, err = run(capsys, "equiv-probe", "--k", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: member ") and "needs more than" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_finite_box_is_one_error_line(self, capsys, tmp_path):
+        obs = write(tmp_path, "obs.txt", "1\n2\n3\n2\n1\n" * 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "estimate", "--zeta", "inf", "--input", obs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: box bounds must be finite")
+        assert len(err.splitlines()) == 1
 
     def kl_probe(self, capsys, tmp_path, n_grid):
         import hmm_frontier as hf
@@ -401,6 +422,16 @@ class TestProbes:
         lines = out_file.read_text().splitlines()
         assert lines[0].startswith("n,replica,seed,")
         assert len(lines) == 2
+
+    def test_rate_sweep_says_why_the_slope_is_missing(self, capsys):
+        code, _, err = run(
+            capsys, "rate-sweep", "--n-grid", "500", "--replicas", "1",
+            "--epsilon", "0.3", "--zeta", "0.3",
+        )
+        assert code == 0
+        assert err == (
+            "# slope(loss_phi2) not fitted: need >= 2 usable sample sizes for loss_phi2, got 1\n"
+        )
 
 
 # Runs one command in a fresh interpreter and prints its exit code and whether

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hmm_frontier import (
     DegenerateChainError,
     NoMemberError,
     PhiPsiParams,
+    SamplerExhaustedError,
     ThetaParams,
     ValidationError,
     canonicalize,
@@ -18,7 +20,14 @@ from hmm_frontier import (
     theta_to_phipsi,
     validate_phipsi,
 )
-from hmm_frontier.params import exists_witness, fallback_direction
+from hmm_frontier import params
+from hmm_frontier.params import (
+    SAMPLER_BLOCK,
+    _membership_slacks,
+    exists_witness,
+    fallback_direction,
+    sample_members,
+)
 
 
 def worked_theta():
@@ -206,6 +215,124 @@ class TestSampling:
     def test_empty_box_raises(self):
         with pytest.raises(NoMemberError):
             sample_phipsi(ConstraintBox(delta=0.4, epsilon=0.5, zeta=0.1, L=0.3, K=3), 0)
+
+
+def scalar_sample(box, seed):
+    """The reference: one candidate at a time, each coordinate drawn as a scalar,
+    accepted when all seven membership slacks (written out here) are >= 0."""
+    rng = np.random.default_rng(seed)
+    K = box.K
+    b1 = (1.0 - box.delta) / (1.0 + box.delta)
+    while True:
+        phi1 = rng.uniform(-b1, b1)
+        phi2 = rng.uniform(box.epsilon, box.phi2_max) * (1.0 if rng.random() < 0.5 else -1.0)
+        phi3 = rng.uniform(box.zeta, math.sqrt(2.0))
+        psi1 = rng.dirichlet(np.ones(K))
+        w = rng.standard_normal(K)
+        w -= w.mean()
+        psi2 = w / np.linalg.norm(w)
+        r = 0.25 * (1.0 - phi1 * phi1) * phi2 * phi3 * phi3
+        slacks = (
+            0.5 * (1.0 - phi2) * (1.0 - abs(phi1)) - box.delta,
+            1.0 - 0.5 * (1.0 - phi2) * (1.0 + abs(phi1)),
+            abs(phi2) - box.epsilon,
+            phi3 - box.zeta,
+            min(psi1 - 0.5 * phi1 * phi3 * psi2 - 0.5 * phi3 * np.abs(psi2)),
+            (1.0 - box.L) - abs(phi2),
+            abs(r) - box.delta * box.epsilon * box.zeta**2 / 4.0,
+        )
+        if min(slacks) >= 0.0:
+            return phi1, phi2, phi3, psi1, psi2
+
+
+class TestBlockSampler:
+    BOX = ConstraintBox(delta=0.05, epsilon=0.3, zeta=0.3, L=0.3, K=3)
+    SIZE = 2000
+    FAMILY_LEVEL = 0.01
+
+    def test_law_matches_scalar_reference(self):
+        """Six two-sample KS tests at 2000 members a side, each at level 0.01 / 6
+        (Bonferroni), so the family's level is 0.01."""
+        from scipy.stats import ks_2samp
+
+        ref = [scalar_sample(self.BOX, [5150, i]) for i in range(self.SIZE)]
+        ref = [np.array(c) for c in zip(*ref)]
+        new = sample_members(self.BOX, self.SIZE, 5151)
+        new = [new.phi1, new.phi2, new.phi3, new.psi1, new.psi2]
+        level = self.FAMILY_LEVEL / 6
+        for label, pick in {
+            "phi1": lambda c: c[0],
+            "phi2": lambda c: c[1],
+            "phi3": lambda c: c[2],
+            "psi1[0]": lambda c: c[3][:, 0],
+            "psi2[0]": lambda c: c[4][:, 0],
+            "min slack": lambda c: _membership_slacks(*c, self.BOX).min(axis=0),
+        }.items():
+            p = ks_2samp(pick(ref), pick(new)).pvalue
+            assert p > level, f"{label}: KS p-value {p:.2e} <= {level:.2e}"
+
+    def test_members_pass_membership_and_params_checks(self):
+        sample = sample_members(self.BOX, 600, 3)
+        assert sample.psi1.shape == (600, 3) and sample.candidates >= 600
+        for i in range(600):
+            assert validate_phipsi(sample.member(i), self.BOX).all_pass
+
+    def test_prefix_across_blocks(self):
+        small = sample_members(self.BOX, 5, 11)
+        large = sample_members(self.BOX, 300, 11)  # about 2800 candidates, 11 blocks
+        assert large.candidates > 2 * SAMPLER_BLOCK
+        for name in ("phi1", "phi2", "phi3", "psi1", "psi2"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:5])
+        assert small.candidates <= large.candidates
+
+    def test_sample_phipsi_is_member_zero(self):
+        a = sample_phipsi(self.BOX, [8, 1])
+        b = sample_members(self.BOX, 4, [8, 1]).member(0)
+        assert (a.phi1, a.phi2, a.phi3) == (b.phi1, b.phi2, b.phi3)
+        np.testing.assert_array_equal(a.psi1, b.psi1)
+        np.testing.assert_array_equal(a.psi2, b.psi2)
+
+    def test_budget_is_per_member(self, monkeypatch):
+        """A member that needs g candidates passes a budget of g and raises below it,
+        also when g spans blocks."""
+        box = ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.3, K=20)
+        needs = [sample_members(box, 1, [13, i]).candidates for i in range(4)]
+        assert min(needs) < SAMPLER_BLOCK < max(needs)
+        for i, g in enumerate(needs):
+            monkeypatch.setattr(params, "_MAX_REJECTIONS", g)
+            assert sample_members(box, 1, [13, i]).candidates == g
+            monkeypatch.setattr(params, "_MAX_REJECTIONS", g - 1)
+            with pytest.raises(SamplerExhaustedError):
+                sample_members(box, 1, [13, i])
+
+    def test_k20_never_returns_the_witness(self):
+        box = ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.3, K=20)
+        witness = exists_witness(box)
+        exhausted = 0
+        for i in range(40):
+            try:
+                pp = sample_phipsi(box, [13, i])
+            except SamplerExhaustedError:
+                exhausted += 1
+                continue
+            assert not np.array_equal(pp.psi1, witness.psi1)
+        assert exhausted > 0
+        with pytest.raises(SamplerExhaustedError):
+            sample_members(box, 40, 1)
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            sample_members(self.BOX, 0, 1)
+
+
+class TestBoxBounds:
+    @pytest.mark.parametrize("field", ["delta", "epsilon", "zeta", "L"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bound_is_refused(self, field, value):
+        bounds = dict(delta=0.1, epsilon=0.2, zeta=0.1, L=0.3, K=3)
+        bounds[field] = value
+        with pytest.raises(ValidationError, match="finite"):
+            ConstraintBox(**bounds)
 
 
 class TestStationary:

@@ -17,7 +17,8 @@ from hmm_frontier import (
     triple_law_phipsi,
     triple_law_theta,
 )
-from hmm_frontier.params import PhiPsiParams
+from hmm_frontier.params import PhiPsiParams, sample_members
+from hmm_frontier.triple_law import _rho_stack
 
 from test_params import random_theta, worked_theta
 
@@ -153,6 +154,42 @@ class TestEquivalenceProbe:
         s2 = equivalence_ratio_probe(box, 200, 3)
         assert s2.min_ratio <= s1.min_ratio
         assert s2.max_ratio >= s1.max_ratio
+
+    @pytest.mark.parametrize("pairs", [1, 7, 150])  # 150 pairs span three stacks
+    def test_probe_is_a_prefix_of_one_stream(self, pairs):
+        """A probe of M pairs scores members 2i, 2i+1 (i < M) of the stream that a
+        larger probe reads, pair by pair as the scalar layers score them."""
+        box = ConstraintBox(delta=0.05, epsilon=0.3, zeta=0.3, L=0.3, K=3)
+        stream = sample_members(box, 2 * 300, 17)
+        ratios = []
+        for i in range(pairs):
+            x, y = stream.member(2 * i), stream.member(2 * i + 1)
+            ratios.append(triple_law_phipsi(x).distance(triple_law_phipsi(y)) / rho(x, y))
+        s = equivalence_ratio_probe(box, pairs, 17)
+        assert s.min_ratio == pytest.approx(min(ratios), rel=1e-12)
+        assert s.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+        assert (s.pairs_used, s.pairs_skipped) == (pairs, 0)
+        assert s.candidates == sample_members(box, 2 * pairs, 17).candidates
+        assert s.candidates <= equivalence_ratio_probe(box, 300, 17).candidates
+
+
+class TestStackedRho:
+    def test_stack_equals_scalar_rho(self):
+        box = ConstraintBox(delta=0.05, epsilon=0.2, zeta=0.1, L=0.3, K=4)
+        m = sample_members(box, 400, 23)
+        a = [m.member(i) for i in range(0, 400, 2)]
+        b = [m.member(i) for i in range(1, 400, 2)]
+        b[:10] = a[:10]  # rho = 0
+        b[10:40] = [switch_labels(p) for p in a[10:40]]  # rho = 0 through the sign
+        b[40:80] = [switch_labels(p) for p in b[40:80]]  # negative <psi2, psi2~>
+        coords = [
+            [np.array([getattr(p, f) for p in side]) for f in ("phi1", "phi2", "phi3", "psi1", "psi2")]
+            for side in (a, b)
+        ]
+        stacked = _rho_stack(*coords)
+        scalar = np.array([rho(x, y) for x, y in zip(a, b)])
+        np.testing.assert_array_equal(stacked, scalar)
+        assert not stacked[:40].any() and stacked[40:].all()
 
 
 class TestModulusBounds:
