@@ -28,10 +28,10 @@ from .filter_kl import KLEstimate, increasing_grid, llr_paths
 from .params import (
     ConstraintBox,
     PhiPsiParams,
+    box_member,
     exists_witness,
     phipsi_to_theta,
     sample_phipsi,
-    validate_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law, sample_paths
 from .triple_law import r_of_phi, rho
@@ -67,16 +67,6 @@ class HypothesisPair:
         )
 
 
-def _member(phi, psi1, psi2, kind: str) -> PhiPsiParams:
-    try:
-        return PhiPsiParams(
-            phi1=float(phi[0]), phi2=float(phi[1]), phi3=float(phi[2]),
-            psi1=psi1, psi2=psi2,
-        )
-    except ValidationError as exc:
-        raise InfeasiblePairError(f"{kind} construction invalid: {exc}") from exc
-
-
 def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> HypothesisPair:
     """Build the two-point pair of the given kind at sample size n.
 
@@ -84,14 +74,14 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
     R <= delta <= 1/6 for phi1_phi3, R <= epsilon <= 1/3 for phi2,
     K > 2 for psi2, plus the compatibility condition on zeta.  An empty box
     raises NoMemberError; a member outside the box, InfeasiblePairError
-    naming the first inequality of ``validate_phipsi`` that fails.
+    naming the member and the first rule that ``box_member`` finds broken.
     """
     if kind not in PAIR_KINDS:
         raise ValidationError(f"unknown pair kind {kind!r}")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if c < 0:
-        raise ValidationError("c must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise ValidationError(f"c must be finite and >= 0: {c}")
     if not box.compatibility_ok:
         raise InfeasiblePairError(
             f"zeta={box.zeta} exceeds compatibility bound {box.compatibility_bound}"
@@ -109,20 +99,20 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
         if R > d + 1e-15:
             raise InfeasiblePairError(f"need R <= delta: R={R}, delta={d}")
         S = (2.0 - 6.0 * d - R) * R / (6.0 * d - 9.0 * d * d)
-        a = _member((1.0 - 3.0 * d, e, z * math.sqrt(1.0 + S)), psi1, psi2, kind)
-        b = _member((1.0 - 3.0 * d - R, e, z), psi1, psi2, kind)
+        a = (1.0 - 3.0 * d, e, z * math.sqrt(1.0 + S), psi1, psi2)
+        b = (1.0 - 3.0 * d - R, e, z, psi1, psi2)
     elif kind == "phi2":
         if e > 1.0 / 3.0 + 1e-15:
             raise InfeasiblePairError(f"need epsilon <= 1/3, got {e}")
         R = c / (d * e * z * z * root_n)
         if R > e + 1e-15:
             raise InfeasiblePairError(f"need R <= epsilon: R={R}, epsilon={e}")
-        a = _member((1.0 - 3.0 * d, e, z * math.sqrt(1.0 + R / e)), psi1, psi2, kind)
-        b = _member((1.0 - 3.0 * d, e + R, z), psi1, psi2, kind)
+        a = (1.0 - 3.0 * d, e, z * math.sqrt(1.0 + R / e), psi1, psi2)
+        b = (1.0 - 3.0 * d, e + R, z, psi1, psi2)
     elif kind == "psi1":
         R = c / root_n
-        a = _member((0.0, e, z), psi1, psi2, kind)
-        b = _member((0.0, e, z), psi1 + R * psi2, psi2, kind)
+        a = (0.0, e, z, psi1, psi2)
+        b = (0.0, e, z, psi1 + R * psi2, psi2)
     else:  # psi2
         if box.K <= 2:
             raise InfeasiblePairError("psi2 construction requires K > 2")
@@ -135,13 +125,15 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
         alpha = R / (2.0 - R)
         tilde = (psi2 + alpha * h) / (1.0 + alpha)
         tilde = tilde / np.linalg.norm(tilde)
-        a = _member((1.0 - 3.0 * d, e, z), psi1, psi2, kind)
-        b = _member((1.0 - 3.0 * d, e, z), psi1, tilde, kind)
-
-    for name, member in (("a", a), ("b", b)):
-        failed = [check.name for check in validate_phipsi(member, box).checks if not check.passed]
-        if failed:
-            raise InfeasiblePairError(f"{kind} member {name} outside the box: {failed[0]}")
+        a = (1.0 - 3.0 * d, e, z, psi1, psi2)
+        b = (1.0 - 3.0 * d, e, z, psi1, tilde)
+    members = []
+    for name, coords in (("a", a), ("b", b)):
+        try:
+            members.append(box_member(*coords, box))
+        except ValidationError as exc:
+            raise InfeasiblePairError(f"{kind} member {name} {exc}") from exc
+    a, b = members
     if kind in ("phi1_phi3", "phi2"):
         gap = abs(r_of_phi(a.phi) - r_of_phi(b.phi))
         if gap > 1e-12:
@@ -168,6 +160,8 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
     the sweep continues.
     """
     n_grid = increasing_grid(n_grid, "n_grid")
+    if replicas < 1:
+        raise ValidationError(f"replicas must be >= 1: {replicas}")
     truth = sample_phipsi(box, derive_seed(seed, 0))
     rows = []
     for n in n_grid:

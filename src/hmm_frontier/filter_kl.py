@@ -38,8 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError, ValidationError
-from .params import PhiPsiParams, ThetaParams, phipsi_to_theta, stationary_dist, theta_to_phipsi
-from .simulate import sample_paths
+from .params import (
+    PhiPsiParams,
+    ThetaParams,
+    phipsi_to_theta,
+    require_same_k,
+    stationary_dist,
+    theta_to_phipsi,
+)
+from .simulate import require_symbols, sample_paths
 from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
@@ -82,6 +89,7 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     y = np.asarray(observed, dtype=np.int64)
     if y.size == 0:
         raise ValidationError("observed must be nonempty")
+    require_symbols(y, theta.f0.size)
     p, q = theta.p, theta.q
     f = np.vstack([theta.f0, theta.f1])  # f[x, symbol-1]
     pred = stationary_dist(p, q)
@@ -118,9 +126,10 @@ def require_positive_emissions(pp: PhiPsiParams) -> None:
 def _coefficients(pps) -> np.ndarray:
     """The 4 x H x K table of the V maps' alpha, beta, gamma and delta, by symbol.
 
-    ValidationError unless every emission of every hypothesis is strictly
-    positive, so a caller can refuse a hypothesis before drawing paths.
+    ValidationError unless the hypotheses share K and every emission of each
+    is strictly positive, so a caller can refuse them before drawing paths.
     """
+    require_same_k(pps)
     tables = []
     for pp in pps:
         require_positive_emissions(pp)
@@ -146,6 +155,7 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     coef = _coefficients(pps)
+    require_symbols(y, coef.shape[2])
     n = y.shape[1]
     length = _SCAN_BLOCK if y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK else n
     return _block_scan(coef, y, length, cps, keep_v)
@@ -265,7 +275,7 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
 def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
     """Log-likelihoods of many equal-length paths via the V recursion.
 
-    ``observed`` is an R x n integer matrix.  If ``checkpoints`` (strictly
+    ``observed`` is an R x n matrix of symbols in {1..K}.  If ``checkpoints`` (strictly
     increasing prefix lengths in [1, n]) is given, also returns an
     R x len(checkpoints) matrix of prefix log-likelihoods.  ``pp`` is one
     ``PhiPsiParams`` or a sequence of H, scored in one pass; then every

@@ -12,10 +12,10 @@ Two coordinate systems are supported and interconverted:
       phi3 = ||f0 - f1||
 
 The map is invertible (up to label switching) and the inverse is explicit.
-This module owns r(phi) and the label-switch sign rule, ``leading_sign``.
-Constraint boxes describe the parameter classes over which minimax sweeps
-run; membership is checked inequality by inequality with signed slack, and
-``sample_members`` draws members by block rejection sampling.
+This module owns r(phi), the label-switch sign rule ``leading_sign``, and
+the rules of a frontier point.  Constraint boxes describe the parameter
+classes over which minimax sweeps run; membership is checked with signed
+slack, and ``box_member`` and ``sample_members`` build and draw members.
 
 All types are immutable values; all operations are pure and only consume
 randomness through an explicit seed.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,31 @@ _MAX_REJECTIONS = 10_000
 SAMPLER_BLOCK = 256
 
 
-def _as_density(v, name: str) -> np.ndarray:
+def _vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError(f"{name} must be a 1-d vector of length >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    if np.any(arr < -DENSITY_TOL):
-        raise ValidationError(f"{name} has a negative entry: min={arr.min()}")
-    if abs(arr.sum() - 1.0) > DENSITY_TOL:
-        raise ValidationError(f"{name} does not sum to 1 (sum={float(arr.sum())!r})")
+    return arr
+
+
+def _require(rules) -> None:
+    """ValidationError for the first of ``rules``, (message, holds, value shown), that fails."""
+    for message, holds, shown in rules:
+        if not holds:
+            raise ValidationError(message.format(float(shown)))
+
+
+def _density_rules(name: str, v):
+    """The rules of a density over rows ``v`` of shape ``(..., K)``, which NaN and +-inf fail."""
+    low = v.min(axis=-1)
+    yield f"{name} has a negative or NaN entry: min={{}}", low >= -DENSITY_TOL, low
+    total = v.sum(axis=-1)
+    yield f"{name} does not sum to 1 (sum={{!r}})", np.abs(total - 1.0) <= DENSITY_TOL, total
+
+
+def _as_density(v, name: str) -> np.ndarray:
+    arr = _vector(v, name)
+    _require(_density_rules(name, arr))
     arr = np.clip(arr, 0.0, None)
     arr.setflags(write=False)
     return arr
@@ -94,6 +109,9 @@ class ThetaParams:
 class PhiPsiParams:
     """Frontier coordinates (phi1, phi2, phi3, psi1, psi2).
 
+    Its one rule set, ``_phipsi_rules``, which NaN and +-inf fail, is also the
+    box sampler's test; ``box_member`` builds a point that must lie in a box.
+
     ``degenerate`` marks the i.i.d. limit f0 = f1 (phi3 = 0), where psi2 is
     not identified and is filled with a canonical placeholder direction.
     """
@@ -106,28 +124,14 @@ class PhiPsiParams:
     degenerate: bool = False
 
     def __post_init__(self):
-        if abs(self.phi1) > 1.0 + ZERO_TOL or abs(self.phi2) > 1.0 + ZERO_TOL:
-            raise ValidationError(
-                f"phi1, phi2 must lie in [-1, 1]: phi1={self.phi1}, phi2={self.phi2}"
-            )
-        if self.phi3 < 0.0:
-            raise ValidationError(f"phi3 must be nonnegative: {self.phi3}")
-        object.__setattr__(self, "psi1", _as_density(self.psi1, "psi1"))
-        psi2 = np.asarray(self.psi2, dtype=float)
-        if psi2.shape != self.psi1.shape:
+        psi1 = _vector(self.psi1, "psi1")
+        psi2 = np.array(self.psi2, dtype=float)
+        if psi2.shape != psi1.shape:
             raise ValidationError("psi1 and psi2 must have equal length")
-        if abs(float(np.linalg.norm(psi2)) - 1.0) > DENSITY_TOL:
-            raise ValidationError(f"psi2 must have unit norm: {float(np.linalg.norm(psi2))!r}")
-        if abs(float(psi2.sum())) > DENSITY_TOL:
-            raise ValidationError(f"psi2 entries must sum to 0: {float(psi2.sum())!r}")
-        psi2 = psi2.copy()
-        psi2.setflags(write=False)
-        object.__setattr__(self, "psi2", psi2)
-        viol = emission_margin(self.phi1, self.phi3, self.psi1, psi2)
-        if viol < -DENSITY_TOL:
-            raise ValidationError(
-                f"emission nonnegativity violated (margin {viol:.3e})"
-            )
+        _require(_phipsi_rules(self.phi1, self.phi2, self.phi3, psi1, psi2))
+        for name, arr in (("psi1", np.clip(psi1, 0.0, None)), ("psi2", psi2)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def phi(self) -> np.ndarray:
@@ -156,6 +160,13 @@ class PhiPsiParams:
         )
 
 
+def require_same_k(pps) -> None:
+    """ValidationError unless the frontier points ``pps`` share one alphabet size K."""
+    sizes = sorted({pp.psi1.size for pp in pps})
+    if len(sizes) > 1:
+        raise ValidationError(f"hypotheses have different alphabet sizes: K = {sizes}")
+
+
 def r_of_phi(phi) -> float:
     """r(phi) = (1 - phi1^2) phi2 phi3^2 / 4; vanishes exactly on the i.i.d. set."""
     phi1, phi2, phi3 = phi
@@ -175,6 +186,28 @@ def emission_margin(phi1, phi3, psi1, psi2):
     phi3 = np.asarray(phi3)[..., None]
     vals = psi1 - 0.5 * phi1 * phi3 * psi2 - 0.5 * phi3 * np.abs(psi2)
     return vals.min(axis=-1)
+
+
+def _phipsi_rules(phi1, phi2, phi3, psi1, psi2):
+    """The invariants of ``PhiPsiParams`` over stacked rows, phi of shape ``(...)``
+    and psi of shape ``(..., K)``, in order, as ``_require`` reads them.  NaN
+    fails every test, and the emission margin comes after the coordinates are
+    found finite, so one row raises no floating-point warning."""
+    yield "phi1 must lie in [-1, 1]: phi1={}", np.abs(phi1) <= 1.0 + ZERO_TOL, phi1
+    yield "phi2 must lie in [-1, 1]: phi2={}", np.abs(phi2) <= 1.0 + ZERO_TOL, phi2
+    yield "phi3 must be finite and nonnegative: {}", (phi3 >= 0.0) & (phi3 < np.inf), phi3
+    yield from _density_rules("psi1", psi1)
+    norm = np.sqrt((psi2 * psi2).sum(axis=-1))  # np.linalg.norm's own sum, without its overhead
+    yield "psi2 must have unit norm: {!r}", np.abs(norm - 1.0) <= DENSITY_TOL, norm
+    total = psi2.sum(axis=-1)
+    yield "psi2 entries must sum to 0: {!r}", np.abs(total) <= DENSITY_TOL, total
+    margin = emission_margin(phi1, phi3, psi1, psi2)
+    yield "emission nonnegativity violated (margin {:.3e})", margin >= -DENSITY_TOL, margin
+
+
+def _phipsi_holds(phi1, phi2, phi3, psi1, psi2) -> np.ndarray:
+    """Where each stacked row would make a ``PhiPsiParams``."""
+    return np.logical_and.reduce([ok for _, ok, _ in _phipsi_rules(phi1, phi2, phi3, psi1, psi2)])
 
 
 @dataclass(frozen=True)
@@ -363,6 +396,19 @@ def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> np.n
     )
 
 
+def _phi1_bound(phi2, box: ConstraintBox):
+    """Largest |phi1| that the transition inequalities allow at phi2 (elementwise)."""
+    b = np.minimum(1.0 - 2.0 * box.delta / (1.0 - phi2), 2.0 / (1.0 - phi2) - 1.0)
+    return np.maximum(b, 0.0)
+
+
+def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
+    """Largest phi3 with nonnegative emissions; phi1 of shape (..., 1) gives (...)."""
+    den = phi1 * psi2 + np.abs(psi2)
+    ratios = np.divide(2.0 * psi1, den, out=np.full(den.shape, np.inf), where=den > 0.0)
+    return ratios.min(axis=-1)
+
+
 def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
     """Check membership of pp in the spectral-gap-restricted box, with slacks.
 
@@ -377,46 +423,35 @@ def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
     return MembershipReport(checks=checks)
 
 
+def box_member(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> PhiPsiParams:
+    """The frontier point with these coordinates, which must lie in ``box``; else a
+    ValidationError ``outside the box: <rule>`` names the first rule of
+    ``PhiPsiParams`` or the first inequality of SLACK_NAMES that fails."""
+    try:
+        pp = PhiPsiParams(float(phi1), float(phi2), float(phi3), psi1, psi2)
+    except ValidationError as exc:
+        raise ValidationError(f"outside the box: {exc}") from exc
+    failed = [check.name for check in validate_phipsi(pp, box).checks if not check.passed]
+    if failed:
+        raise ValidationError(f"outside the box: {failed[0]}")
+    return pp
+
+
 def exists_witness(box: ConstraintBox) -> PhiPsiParams:
     """Deterministic member of the box: uniform psi1, odd/even psi2, smallest phi.
 
-    Raises NoMemberError when even this construction fails validation.
+    Raises NoMemberError when even this construction is no member.
     """
-    K = box.K
     if box.epsilon > box.phi2_max + ZERO_TOL:
         raise NoMemberError(
             f"epsilon={box.epsilon} exceeds max |phi2|={box.phi2_max}: box is empty"
         )
     try:
-        pp = PhiPsiParams(
-            phi1=0.0,
-            phi2=box.epsilon,
-            phi3=box.zeta,
-            psi1=np.full(K, 1.0 / K),
-            psi2=fallback_direction(K),
+        return box_member(
+            0.0, box.epsilon, box.zeta, np.full(box.K, 1.0 / box.K), fallback_direction(box.K), box
         )
     except ValidationError as exc:
-        raise NoMemberError(f"witness construction invalid: {exc}") from exc
-    if not validate_phipsi(pp, box).all_pass:
-        raise NoMemberError("witness construction fails box membership")
-    return pp
-
-
-def _constructible(phi1, phi2, phi3, psi1, psi2) -> np.ndarray:
-    """Where ``PhiPsiParams`` would accept each row of a stack, with its tolerances:
-    phi ranges, psi1 finite, nonnegative and summing to 1, psi2 of unit norm and
-    zero sum, and the emission margin."""
-    return (
-        (np.abs(phi1) <= 1.0 + ZERO_TOL)
-        & (np.abs(phi2) <= 1.0 + ZERO_TOL)
-        & (phi3 >= 0.0)
-        & np.isfinite(psi1).all(axis=-1)
-        & (psi1 >= -DENSITY_TOL).all(axis=-1)
-        & (np.abs(psi1.sum(axis=-1) - 1.0) <= DENSITY_TOL)
-        & (np.abs(np.linalg.norm(psi2, axis=-1) - 1.0) <= DENSITY_TOL)
-        & (np.abs(psi2.sum(axis=-1)) <= DENSITY_TOL)
-        & (emission_margin(phi1, phi3, psi1, psi2) >= -DENSITY_TOL)
-    )
+        raise NoMemberError(f"the witness is {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,8 +492,8 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     is below 1/2); phi3 uniform on [zeta, sqrt(2)].  Then psi1 ~ Dirichlet(1)
     as B x K, and standard normal B x K rows, centred and normalized into psi2.
     A candidate is a member when its seven membership slacks are >= 0 and
-    ``PhiPsiParams`` would accept it; members are taken in draw order, so the
-    first m members for any ``count`` >= m are the same.
+    the rules of ``PhiPsiParams`` hold for it; members are taken in draw
+    order, so the first m members for any ``count`` >= m are the same.
 
     Raises NoMemberError on an empty box, and SamplerExhaustedError when one
     member needs more than ``_MAX_REJECTIONS`` candidates.
@@ -483,7 +518,7 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
         # a row too short to normalize fails the unit-norm check below
         psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
         ok = (_membership_slacks(phi1, phi2, phi3, psi1, psi2, box) >= 0.0).all(axis=0)
-        ok &= _constructible(phi1, phi2, phi3, psi1, psi2)
+        ok &= _phipsi_holds(phi1, phi2, phi3, psi1, psi2)
         pos = np.flatnonzero(ok)[: count - taken]
         # candidates each member took; without one, the next takes more than since + B
         needs = np.diff(pos, prepend=-1 - since) if len(pos) else np.array([since + B + 1])

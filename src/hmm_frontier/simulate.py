@@ -133,6 +133,12 @@ def _scan_block(u, state, theta):
     return enc
 
 
+def require_symbols(y: np.ndarray, K: int) -> None:
+    """ValidationError unless every entry of the integer array ``y`` is a symbol in {1..K}."""
+    if y.size and not (y.min() >= 1 and y.max() <= K):
+        raise ValidationError(f"observed symbols out of range {{1..{K}}}")
+
+
 def empirical_triple_law(observed, K: int) -> TripleLaw:
     """p_hat(a,b,c) = (#consecutive triples equal to (a,b,c)) / n.
 
@@ -143,8 +149,7 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    if y.min() < 1 or y.max() > K:
-        raise ValidationError("observed symbols out of range {1..K}")
+    require_symbols(y, K)
     idx = (y[:-2] - 1) * K * K + (y[1:-1] - 1) * K + (y[2:] - 1)
     counts = np.bincount(idx, minlength=K**3).astype(float)
     return TripleLaw(probs=(counts / n).reshape(K, K, K))
@@ -156,4 +161,5 @@ __all__ = [
     "sample_path",
     "sample_paths",
     "empirical_triple_law",
+    "require_symbols",
 ]

@@ -30,6 +30,7 @@ from .params import (
     PhiPsiParams,
     ThetaParams,
     r_of_phi,
+    require_same_k,
     sample_members,
     stationary_dist,
     switch_labels,
@@ -172,7 +173,9 @@ def rho(a: PhiPsiParams, b: PhiPsiParams) -> float:
 
     The third moment and the psi2 direction enter with the sign of
     <psi2, psi2~> (sign(0) = +1), which absorbs the switch symmetry.
+    ValidationError when a and b have different K.
     """
+    require_same_k((a, b))
     coords = [(p.phi1, p.phi2, p.phi3, p.psi1, p.psi2) for p in (a, b)]
     return float(_rho_stack(*coords))
 

@@ -9,10 +9,12 @@ Run from the repository root:
     PYTHONPATH=src python tests/fit_bank.py --against bank.jsonl
 
 The first form prints one JSON line per fit (box, truth, n, objective,
-``converged``, ``starts``, ``best_start``, ``nfev`` and seconds).  With ``--against FILE`` it also
-prints, for each fit, the relative difference of its objective from the
-same fit in FILE, and then how many fits are worse, better or the same at
-1e-9 relative and whether ``converged`` and ``starts`` agree everywhere.
+``converged``, ``starts``, ``best_start``, ``nfev`` and seconds).  With
+``--against FILE`` it also prints, for each fit, the relative difference of
+its objective from the same fit in FILE, and then how many fits are worse,
+better or the same at 1e-9 relative, how many objectives are bit-identical,
+and whether ``converged``, ``starts``, ``best_start`` and ``nfev`` agree
+everywhere; it exits 1 when one of those four differs in some fit.
 The file name keeps pytest from collecting it.
 """
 
@@ -41,6 +43,7 @@ BOXES = {
 TRUTHS = 6
 SIZES = (10**3, 10**4, 10**5)
 SAME = 1e-9
+FLAGS = ("converged", "starts", "best_start", "nfev")
 
 
 def run_bank():
@@ -77,8 +80,8 @@ def main(argv=None) -> int:
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
             ref = {key(rec): rec for rec in map(json.loads, filter(str.strip, fh))}
-    worse = better = same = 0
-    flags_agree = True
+    worse = better = same = identical = 0
+    differ = set()
     for rec in run_bank():
         if ref is not None:
             old = ref[key(rec)]
@@ -87,15 +90,18 @@ def main(argv=None) -> int:
             worse += rel > SAME
             better += rel < -SAME
             same += abs(rel) <= SAME
-            flags_agree &= all(rec[k] == old[k] for k in ("converged", "starts"))
+            identical += rec["objective"] == old["objective"]
+            differ.update(k for k in FLAGS if rec[k] != old[k])
         print(json.dumps(rec), flush=True)
     if ref is not None:
+        verdict = f"DIFFER in {', '.join(k for k in FLAGS if k in differ)}" if differ else "agree"
         print(
             f"# worse {worse}  better {better}  same {same} (at {SAME:g} relative);"
-            f" converged and starts {'agree' if flags_agree else 'DIFFER'}",
+            f" bit-identical {identical} of {worse + better + same};"
+            f" {', '.join(FLAGS)} {verdict}",
             file=sys.stderr,
         )
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import pytest
 
 from hmm_frontier import ThetaParams, estimate_theta, theta_to_phipsi
 from hmm_frontier.cli import cli_main
+from hmm_frontier.params import fallback_direction
 
 from test_experiments import count_calls
 
@@ -233,6 +234,24 @@ BAD_INPUTS = {
         ),
     ],
     "unknown-sweep-target": lambda d: ["rate-sweep", "--n-grid", "300", "--target", "nope"],
+    "params-a-nan-phi": lambda d: [
+        "kl-probe", "--params-a", write(
+            d, "params-a.json",
+            '{"phi": [NaN, 0.05, 0.4], "psi1": [0.4, 0.3, 0.3], "psi2": %s}'
+            % json.dumps(fallback_direction(3).tolist()),
+        ), "--params-b", native_params(d),
+    ],
+    "params-k3-k4": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", write(d, "k4.json", ThetaParams(
+            p=0.2, q=0.3, f0=[0.4, 0.3, 0.2, 0.1], f1=[0.25] * 4
+        ).to_json()),
+    ],
+    "negative-starts": lambda d: [
+        "estimate", "--input", write(d, "obs.txt", "1\n2\n3\n2\n1\n" * 40), "--starts", "-1",
+    ],
+    "zero-replicas": lambda d: ["rate-sweep", "--replicas", "0"],
+    "lb-pair-nan-c": lambda d: ["lb-pair", "--c", "nan"],
+    "threshold-probe-nan-c": lambda d: ["threshold-probe", "--c", "nan"],
     **{
         f"negative-seed-{command}": lambda d, command=command, args=args: [
             command, *args(d), "--seed", "-1",
@@ -256,13 +275,18 @@ def test_bad_input_is_a_named_error(capsys, tmp_path, case):
     code, out, err = run(capsys, *BAD_INPUTS[case](tmp_path))
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
+    lines = err.splitlines()
+    assert lines[0].startswith("error:")
+    # one message line, followed only by argparse's usage after a bad flag
+    assert len(lines) == 1 or lines[1].startswith("usage:")
     if case.startswith("params-b-"):
         assert f"cannot read {tmp_path / 'params-b.json'}: " in err
     if case.startswith("negative-seed-"):
         assert "argument --seed" in err
     if case == "unknown-sweep-target":
         assert "argument --target" in err
+    if case == "params-a-nan-phi":
+        assert "params-a.json: phi1 must lie in [-1, 1]: phi1=nan" in err
 
 
 @pytest.mark.parametrize(

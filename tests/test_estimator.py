@@ -6,6 +6,7 @@ from hmm_frontier import (
     NoMemberError,
     PhiPsiParams,
     ThetaParams,
+    ValidationError,
     canonicalize,
     empirical_triple_law,
     estimate_theta,
@@ -69,6 +70,10 @@ class TestMinDistanceFit:
         rec = losses(fit.estimate, pp)
         assert max(rec.phi1, rec.phi2, rec.phi3, rec.psi1, rec.psi2) <= 1e-3
         assert fit.objective <= 1e-6
+
+    def test_negative_random_starts_are_refused(self):
+        with pytest.raises(ValidationError, match="random_starts must be >= 0"):
+            min_distance_fit(triple_law_phipsi(worked_pp()), worked_box(), random_starts=-1)
 
     def test_label_switched_input_same_estimate(self):
         pp = worked_pp()

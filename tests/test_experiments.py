@@ -148,6 +148,11 @@ class TestLowerBoundPair:
         with pytest.raises(InfeasiblePairError, match="member b outside the box: min_transition"):
             lower_bound_pair("phi2", 10**6, box, 0.005)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_c_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(ValidationError, match="c must be finite"):
+            lower_bound_pair("phi1_phi3", 10**5, probe_box(), c)
+
     def test_empty_box_has_no_pair(self):
         # phi2_max = 1 - L = 0.1 < epsilon = 0.2
         box = ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.9, K=3)
@@ -197,6 +202,10 @@ class TestRateSweep:
         assert row["objective"] == fit.objective
         for col in ("phi1", "phi2", "phi3", "psi1", "psi2", "pq", "f"):
             assert row[f"loss_{col}"] == getattr(rec, col)
+
+    def test_replicas_must_be_positive(self):
+        with pytest.raises(ValidationError, match="replicas must be >= 1"):
+            rate_sweep(self.box(), (500,), 0, 1)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError):

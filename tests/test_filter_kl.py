@@ -147,6 +147,27 @@ class TestVRecursion:
         with pytest.raises(ValidationError):
             v_recursion(theta_to_phipsi(th), [1, 2, 3])
 
+    @pytest.mark.parametrize("symbol", [0, 4, -1])
+    def test_symbols_outside_the_alphabet_are_refused(self, symbol):
+        """Symbol 0 used to score as symbol K and K + 1 to raise IndexError."""
+        th = worked_theta()
+        pp = theta_to_phipsi(th)
+        y = np.array([1, 2, symbol, 3, 1])
+        with pytest.raises(ValidationError, match=r"out of range \{1..3\}"):
+            loglik_batch(pp, y[None, :])
+        with pytest.raises(ValidationError, match="out of range"):
+            v_recursion(pp, y)
+        with pytest.raises(ValidationError, match="out of range"):
+            forward_filter(th, y)
+
+    def test_hypotheses_must_share_k(self):
+        a = theta_to_phipsi(worked_theta())
+        b = theta_to_phipsi(ThetaParams(p=0.2, q=0.3, f0=[0.4, 0.3, 0.2, 0.1], f1=[0.25] * 4))
+        with pytest.raises(ValidationError, match="different alphabet sizes"):
+            loglik_batch([a, b], np.ones((2, 10), dtype=int))
+        with pytest.raises(ValidationError, match="different alphabet sizes"):
+            rho(a, b)
+
     def test_batch_matches_scalar(self):
         # v_recursion runs the same loop, so the forward filter is the reference
         th = worked_theta()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from hmm_frontier import params
 from hmm_frontier.params import (
     SAMPLER_BLOCK,
     _membership_slacks,
+    _phipsi_holds,
+    box_member,
     exists_witness,
     fallback_direction,
     sample_members,
@@ -163,6 +166,69 @@ class TestValidation:
                 phi1=0.0, phi2=0.3, phi3=1.2,
                 psi1=[0.05, 0.05, 0.9], psi2=fallback_direction(3),
             )
+
+
+def edge_rows():
+    """Rows at the edges of PhiPsiParams' rules, with whether each is a frontier point:
+    non-finite phi, and each 1e-12 tolerance met just inside and just outside."""
+    psi1, psi2 = np.full(3, 1 / 3), fallback_direction(3)
+    base = dict(phi1=0.2, phi2=0.3, phi3=0.1, psi1=psi1, psi2=psi2)
+    rows = [(base, True)]
+    for name in ("phi1", "phi2", "phi3"):
+        for value in (math.nan, math.inf, -math.inf):
+            rows.append(({**base, name: value}, False))
+    for sign in (1.0, -1.0):
+        rows.append(({**base, "phi1": sign * (1.0 + 1e-12)}, True))
+        rows.append(({**base, "phi1": sign * (1.0 + 3e-12)}, False))
+    # at phi1 = 0 the margin is 1/3 - phi3 / (2 sqrt 2), zero at phi3 = 2 sqrt(2) / 3
+    margin_zero = dict(base, phi1=0.0)
+    for d, inside in ((5e-13, True), (-5e-13, True), (2e-12, False), (-2e-12, False)):
+        rows.append(({**base, "psi1": psi1 + [0.0, 0.0, d]}, inside))
+        rows.append(({**base, "psi2": psi2 * (1.0 + d)}, inside))
+        rows.append(({**base, "psi2": psi2 + [0.0, 0.0, d]}, inside))
+        if d > 0:
+            phi3 = (1 / 3 + d) * 2.0 * math.sqrt(2.0)  # margin -d
+            rows.append(({**margin_zero, "phi3": phi3}, inside))
+    return rows
+
+
+class TestFrontierRules:
+    @pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_is_refused(self, name, value):
+        coords = dict(phi1=0.2, phi2=0.3, phi3=0.1, psi1=np.full(3, 1 / 3))
+        coords[name] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=name):
+                PhiPsiParams(**coords, psi2=fallback_direction(3))
+
+    def test_constructor_accepts_what_the_sampler_accepts(self):
+        rows = edge_rows()
+        built = []
+        for coords, _ in rows:
+            try:
+                PhiPsiParams(**coords)
+                built.append(True)
+            except ValidationError:
+                built.append(False)
+        stack = [
+            np.array([coords[name] for coords, _ in rows])
+            for name in ("phi1", "phi2", "phi3", "psi1", "psi2")
+        ]
+        with np.errstate(all="ignore"):  # inf rows enter the stacked margin
+            holds = _phipsi_holds(*stack)
+        assert built == holds.tolist() == [inside for _, inside in rows]
+
+    def test_box_member_names_the_first_broken_rule(self):
+        box = worked_box()
+        psi1, psi2 = np.full(3, 1 / 3), fallback_direction(3)
+        pp = box_member(0.0, 0.4, 0.3, psi1, psi2, box)
+        assert validate_phipsi(pp, box).all_pass
+        with pytest.raises(ValidationError, match="^outside the box: phi3_magnitude$"):
+            box_member(0.0, 0.4, 0.2, psi1, psi2, box)
+        with pytest.raises(ValidationError, match="^outside the box: phi1 must lie in"):
+            box_member(math.nan, 0.4, 0.3, psi1, psi2, box)
 
 
 class TestCanonicalize:
