@@ -86,10 +86,9 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     P_0 is the stationary law; each step conditions on Y_k and propagates
     through the transition matrix.  The k = 1 step uses P(X_1 = x) directly.
     """
-    y = np.asarray(observed, dtype=np.int64)
+    y = require_symbols(observed, theta.f0.size)
     if y.size == 0:
         raise ValidationError("observed must be nonempty")
-    require_symbols(y, theta.f0.size)
     p, q = theta.p, theta.q
     f = np.vstack([theta.f0, theta.f1])  # f[x, symbol-1]
     pred = stationary_dist(p, q)
@@ -145,9 +144,11 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
     denominator is the predictive density, with the four coefficients
     gathered by the step's symbols from K-long tables, so no R x n float
-    array is built.  Fewer than ``_SCAN_ROW_CUT`` rows of more than
-    ``_SCAN_BLOCK`` steps run in blocks of ``_SCAN_BLOCK`` steps; otherwise
-    the whole path is one block.  Returns the H x R log-likelihoods, the
+    array is built.  ``y`` has passed ``require_symbols`` and keeps its own
+    integer dtype: each step's ``symbol - 1`` indexes the tables in that
+    dtype, so a uint8 matrix is never widened.  Fewer than
+    ``_SCAN_ROW_CUT`` rows of more than ``_SCAN_BLOCK`` steps run in blocks
+    of ``_SCAN_BLOCK`` steps; otherwise the whole path is one block.  Returns the H x R log-likelihoods, the
     H x R x len(checkpoints) prefix log-likelihoods and the H x R x n
     trajectory of V (None unless ``keep_v``).
     """
@@ -155,7 +156,6 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     coef = _coefficients(pps)
-    require_symbols(y, coef.shape[2])
     n = y.shape[1]
     length = _SCAN_BLOCK if y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK else n
     return _block_scan(coef, y, length, cps, keep_v)
@@ -260,7 +260,7 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
     is raised (this cannot happen when emissions are bounded away from zero
     and |phi2| is small).
     """
-    y = np.asarray(observed, dtype=np.int64)
+    y = require_symbols(observed, pp.psi1.size)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("observed must be a nonempty vector")
     loglik, _, v = _v_scan([pp], y[None, :], keep_v=True)
@@ -275,17 +275,19 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
 def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
     """Log-likelihoods of many equal-length paths via the V recursion.
 
-    ``observed`` is an R x n matrix of symbols in {1..K}.  If ``checkpoints`` (strictly
+    ``observed`` is an R x n integer matrix of symbols in {1..K}, of any
+    integer dtype (never widened).  If ``checkpoints`` (strictly
     increasing prefix lengths in [1, n]) is given, also returns an
     R x len(checkpoints) matrix of prefix log-likelihoods.  ``pp`` is one
     ``PhiPsiParams`` or a sequence of H, scored in one pass; then every
     result gains a leading axis of length H, row h as if scored alone.
     """
-    y = np.asarray(observed, dtype=np.int64)
+    single = isinstance(pp, PhiPsiParams)
+    pps = [pp] if single else pp
+    y = require_symbols(observed, pps[0].psi1.size)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValidationError("observed must be a nonempty R x n matrix")
-    single = isinstance(pp, PhiPsiParams)
-    loglik, prefix, _ = _v_scan([pp] if single else pp, y, checkpoints)
+    loglik, prefix, _ = _v_scan(pps, y, checkpoints)
     if single:
         loglik, prefix = loglik[0], prefix[0]
     return loglik if checkpoints is None else (loglik, prefix)

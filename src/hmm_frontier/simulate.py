@@ -24,8 +24,10 @@ from .triple_law import TripleLaw
 class PathSample:
     """Simulated trajectories: hidden states in {0,1}, symbols in {1..K}.
 
-    ``hidden`` and ``observed`` are read-only int64 arrays of shape (n,) for
-    one path or (R, n) for R paths of common length n; ``len()`` is n.
+    ``hidden`` and ``observed`` are read-only integer arrays of shape (n,)
+    for one path or (R, n) for R paths of common length n, kept in the dtype
+    they are given (``sample_paths`` stores uint8 states and the narrowest
+    unsigned type that holds K); ``len()`` is n.
     """
 
     hidden: np.ndarray
@@ -33,11 +35,12 @@ class PathSample:
     seed: object
 
     def __post_init__(self):
-        h = np.asarray(self.hidden, dtype=np.int64)
-        y = np.asarray(self.observed, dtype=np.int64)
+        h, y = np.asarray(self.hidden), np.asarray(self.observed)
         if h.shape != y.shape or h.ndim not in (1, 2):
             raise ValidationError("hidden and observed must have equal shapes (n,) or (R, n)")
-        # np.asarray returns int64 input as is: freezing never copies R x n arrays
+        if h.size and (h.dtype.kind not in "iu" or y.dtype.kind not in "iu"):
+            raise ValidationError(f"paths must be integer arrays, got {h.dtype} and {y.dtype}")
+        # np.asarray returns an array as is: freezing never copies R x n arrays
         h.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "hidden", h)
@@ -69,36 +72,40 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
     return PathSample(hidden=batch.hidden[0], observed=batch.observed[0], seed=seed)
 
 
-# Block sizes bound the temporaries; the stream order does not depend on them.
-_STEP_BLOCK = 4096  # hidden-chain steps per transition draw
-_EMIT_BLOCK = 1 << 20  # emission uniforms per draw (whole rows, at least one)
+# Uniforms per draw: a transition draw takes max(1, _DRAW_BLOCK // count) steps
+# of every path, an emission draw max(1, _DRAW_BLOCK // n) whole paths.  The
+# budget bounds the temporaries; the stream order does not depend on it.
+_DRAW_BLOCK = 1 << 18
 
 
 def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
     """Vectorized sampler: `count` independent stationary paths of length n.
 
-    Returns one ``PathSample`` whose arrays have shape (count, n).  The
-    hidden chain is scanned in blocks of time steps (``_scan_block``), and
-    each symbol is 1 plus the number of inner thresholds of its state's
-    emission cdf that its uniform reaches.  Neither loop runs per time step.
+    Returns one ``PathSample`` whose arrays have shape (count, n): hidden
+    states as uint8, symbols as the narrowest unsigned type that holds K
+    (uint8 for K <= 255).  The hidden chain is scanned in blocks of time
+    steps (``_scan_block``), and each symbol is 1 plus the number of inner
+    thresholds of its state's emission cdf that its uniform reaches.
+    Neither loop runs per time step.
     """
     if n < 0 or count < 0:
         raise ValidationError("n and count must be >= 0")
     rng = np.random.default_rng(seed)
-    hidden = np.empty((count, n), dtype=np.int64)
-    observed = np.empty((count, n), dtype=np.int64)
+    hidden = np.empty((count, n), dtype=np.uint8)
+    observed = np.empty((count, n), dtype=np.min_scalar_type(theta.f0.size))
     if n == 0 or count == 0:
         return PathSample(hidden=hidden, observed=observed, seed=seed)
     pi1 = stationary_dist(theta.p, theta.q)[1]
     state = rng.random(count) < pi1
     hidden[:, 0] = state
-    for k0 in range(1, n, _STEP_BLOCK):
-        block = _scan_block(rng.random((min(_STEP_BLOCK, n - k0), count)), state, theta)
+    steps = max(1, _DRAW_BLOCK // count)
+    for k0 in range(1, n, steps):
+        block = _scan_block(rng.random((min(steps, n - k0), count)), state, theta)
         hidden[:, k0:k0 + len(block)] = block.T
         state = block[-1]
     # inner thresholds only: u < 1 never reaches the last cdf entry
     thresholds = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])[:, :-1]
-    rows = max(1, _EMIT_BLOCK // n)
+    rows = max(1, _DRAW_BLOCK // n)
     for r0 in range(0, count, rows):
         h = hidden[r0:r0 + rows]
         u = rng.random(h.shape)
@@ -133,10 +140,21 @@ def _scan_block(u, state, theta):
     return enc
 
 
-def require_symbols(y: np.ndarray, K: int) -> None:
-    """ValidationError unless every entry of the integer array ``y`` is a symbol in {1..K}."""
-    if y.size and not (y.min() >= 1 and y.max() <= K):
+def require_symbols(observed, K: int) -> np.ndarray:
+    """``observed`` as an integer array of symbols in {1..K}, not copied if it is one.
+
+    ValidationError for a non-integer dtype (a float symbol is refused, not
+    truncated) or an entry outside {1..K}.  Callers check this before any
+    ``symbol - 1``, which would wrap a 0 in an unsigned dtype.
+    """
+    y = np.asarray(observed)
+    if not y.size:
+        return y
+    if y.dtype.kind not in "iu":
+        raise ValidationError(f"observed symbols must be integers, got dtype {y.dtype}")
+    if not (y.min() >= 1 and y.max() <= K):
         raise ValidationError(f"observed symbols out of range {{1..{K}}}")
+    return y
 
 
 def empirical_triple_law(observed, K: int) -> TripleLaw:
@@ -145,11 +163,11 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
     The divisor is n, not n - 2, so the total mass is (n-2)/n exactly;
     downstream distance computations never renormalize.
     """
-    y = np.asarray(observed, dtype=np.int64)
+    y = require_symbols(observed, K)
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    require_symbols(y, K)
+    y = y.astype(np.int64, copy=False)  # (y - 1) * K * K would wrap in uint8
     idx = (y[:-2] - 1) * K * K + (y[1:-1] - 1) * K + (y[2:] - 1)
     counts = np.bincount(idx, minlength=K**3).astype(float)
     return TripleLaw(probs=(counts / n).reshape(K, K, K))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hmm_frontier import (
     PhiPsiParams,
     ThetaParams,
     ValidationError,
+    empirical_triple_law,
     forward_filter,
     kl_estimate,
     kl_rho_bound,
+    llr_paths,
     loglik_batch,
     m_of_phi,
     phipsi_to_theta,
@@ -411,3 +414,68 @@ class TestKL:
         )
         assert kl_rho_bound(a, b, 1000) == pytest.approx(0.2, rel=1e-6)
         assert kl_rho_bound(a, b, 1000) == pytest.approx(1000 * rho(a, b) ** 2)
+
+
+class TestNarrowSymbols:
+    """Symbols are read in the integer dtype they come in; nothing else passes."""
+
+    def test_uint8_and_int64_agree(self):
+        # 3000 steps over 4 rows: the blocked scan, with a shorter last block
+        th = worked_theta()
+        a, b = scan_pair()
+        y8 = sample_paths(th, 3000, 4, 31).observed
+        y64 = y8.astype(np.int64)
+        assert y8.dtype == np.uint8
+        # at K = 8, (y - 1) * K * K + ... passes 255: the triple index must not wrap
+        wide8 = np.random.default_rng(0).integers(1, 9, 500, dtype=np.uint8)
+        for narrow, K in ((y8.ravel(), 3), (wide8, 8)):
+            got = empirical_triple_law(narrow, K).probs
+            assert np.array_equal(got, empirical_triple_law(narrow.astype(np.int64), K).probs)
+        tr8, tr64 = forward_filter(th, y8[0]), forward_filter(th, y64[0])
+        assert tr8.loglik == tr64.loglik and np.array_equal(tr8.v, tr64.v)
+        vr8, vr64 = v_recursion(a, y8[0]), v_recursion(a, y64[0])
+        assert vr8.loglik == vr64.loglik and np.array_equal(vr8.v, vr64.v)
+        for got, want in zip(
+            loglik_batch([a, b], y8, [1, 2048, 2049, 3000]),
+            loglik_batch([a, b], y64, [1, 2048, 2049, 3000]),
+        ):
+            assert np.array_equal(got, want)
+
+    def test_integer_lists_still_read(self):
+        a, _ = scan_pair()
+        assert np.array_equal(loglik_batch(a, [[1, 2, 3]]), loglik_batch(a, np.array([[1, 2, 3]])))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.array([1, 2, 0, 3], dtype=np.uint8), "out of range"),
+            # truncated, these would read as valid symbols
+            (np.array([1.7, 2.2, 3.9, 1.0]), "dtype float64"),
+            (np.array([True, True, True, True]), "dtype bool"),
+        ],
+        ids=["uint8-zero", "float", "bool"],
+    )
+    def test_refused_before_any_minus_one(self, bad, match):
+        th = worked_theta()
+        pp = theta_to_phipsi(th)
+        calls = [
+            lambda: empirical_triple_law(bad, 3),
+            lambda: forward_filter(th, bad),
+            lambda: v_recursion(pp, bad),
+            lambda: loglik_batch(pp, bad[None]),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=match):
+                call()
+
+    def test_llr_paths_memory_is_two_bytes_per_symbol(self):
+        # one byte per state and per symbol, plus draw blocks bounded by size
+        R, n = 100, 100_000
+        a, b = scan_pair()
+        tracemalloc.start()
+        try:
+            llr_paths(a, b, a, [n], R, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * R * n + 12 * 2**20

@@ -105,6 +105,16 @@ class TestSamplePath:
         np.testing.assert_array_equal(one.hidden, row.hidden[0])
         np.testing.assert_array_equal(one.observed, row.observed[0])
 
+    def test_storage_dtypes(self):
+        ps = sample_paths(worked_theta(), 20, 3, 1)
+        assert ps.hidden.dtype == np.uint8 and ps.observed.dtype == np.uint8
+        uniform = np.full(256, 1 / 256)
+        wide = ThetaParams(p=0.3, q=0.4, f0=uniform, f1=uniform)
+        ps = sample_paths(wide, 2000, 2, 1)
+        assert ps.hidden.dtype == np.uint8 and ps.observed.dtype == np.uint16
+        assert ps.observed.max() == 256
+        assert_matches_loop(wide, [(50, 3)], 1)
+
     def test_csv_export(self):
         ps = sample_path(worked_theta(), 3, 5)
         lines = ps.to_csv().splitlines()
@@ -117,9 +127,14 @@ class TestSamplePath:
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
     @pytest.mark.parametrize("theta", ORACLE_THETAS.values(), ids=ORACLE_THETAS.keys())
-    def test_same_bytes_as_step_loop(self, theta, seed):
-        B = simulate._STEP_BLOCK
-        shapes = [(n, count) for n in (0, 1, 2, B, B + 1, 3 * B + 5) for count in (0, 1, 7)]
+    def test_same_bytes_as_step_loop(self, monkeypatch, theta, seed):
+        # a small draw budget keeps the reference loop cheap; n hits every block edge
+        B = 1024
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", B)
+        shapes = []
+        for count in (0, 1, 7):
+            s = max(1, B // max(count, 1))  # steps per transition draw
+            shapes += [(n, count) for n in (0, 1, 2, s, s + 1, 3 * s + 5)]
         assert_matches_loop(theta, shapes, seed)
 
     def test_alternation_and_absent_symbol(self):
@@ -129,8 +144,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
     def test_block_sizes_are_not_in_the_contract(self, monkeypatch, seed):
-        monkeypatch.setattr(simulate, "_STEP_BLOCK", 3)
-        monkeypatch.setattr(simulate, "_EMIT_BLOCK", 1)
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", 3)
         shapes = [(n, count) for n in (1, 2, 3, 4, 11, 50) for count in (1, 7)]
         for theta in ORACLE_THETAS.values():
             assert_matches_loop(theta, shapes, seed)
