@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -152,6 +153,16 @@ def _params(fh) -> PhiPsiParams:
 
 
 _LOADTXT = {"delimiter": ",", "dtype": np.int64, "comments": None, "quotechar": '"', "ndmin": 1}
+# The kind of each byte of the UTF-8 text: 0 a comma or what ``str.strip``
+# removes, 1 a line end, 2 data, 3 a quote or a byte of a non-ASCII character,
+# whose line is judged by ``_has_data``.
+_BYTE_KIND = np.array(
+    [
+        1 if c == 10 else 3 if c == 34 or c > 127 else 0 if c == 44 or chr(c).isspace() else 2
+        for c in range(256)
+    ],
+    dtype=np.uint8,
+)
 
 
 def _has_data(line: str) -> bool:
@@ -160,24 +171,63 @@ def _has_data(line: str) -> bool:
     return bool(fields.strip())
 
 
+def _lines_holding(marked: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per line, whether ``marked`` holds some byte of it besides its end.
+
+    ``ends`` marks each line's last byte, and ``marked`` marks every line end
+    too.  Among the marked bytes, a line holds one besides its end exactly
+    when the byte before its end is not the previous line's end.
+    """
+    seq = ends[marked]
+    return ~np.concatenate(([True], seq))[:-1][seq]
+
+
+def _data_lines(text: str):
+    """``text`` without the lines ``_has_data`` finds blank, and a kept flag per line.
+
+    The flags come from byte masks over the UTF-8 bytes; only a line with a
+    quote or a non-ASCII character is passed to ``_has_data`` as a string.
+    """
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    kind = _BYTE_KIND[raw]
+    if text and not text.endswith("\n"):  # the last line ends at the end of the file
+        kind = np.append(kind, 1)
+    special = (kind == 3).any()
+    ends = kind == 1
+    keep = _lines_holding(kind >= 1, ends)
+    if not special and keep.all():
+        return text, keep
+    bounds = np.flatnonzero(ends) + 1
+    starts = np.concatenate(([0], bounds[:-1]))
+    for i in np.flatnonzero(_lines_holding((kind == 3) | ends, ends)):
+        keep[i] = _has_data(raw[starts[i] : bounds[i]].tobytes().decode("utf-8"))
+    lengths = bounds - starts
+    lengths[-1] -= len(kind) - len(raw)  # the added end is no byte of the text
+    return raw[np.repeat(keep, lengths)].tobytes().decode("utf-8"), keep
+
+
 def _observations(fh) -> np.ndarray:
     """One symbol per line, CSV with a ``y`` header column, or headerless CSV
     read by its last column; rows whose CSV fields are all blank are skipped."""
-    lines = [line for line in fh if _has_data(line)]
+    # chunks of the size line iteration reads, so a decoding error names the same position
+    text, keep = _data_lines("".join(iter(lambda: fh.read(8192), "")))
     column = -1
-    header = next(csv.reader(lines[:1]), [])
+    first = text[: text.find("\n") + 1 or len(text)]
+    header = next(csv.reader([first]), [])
     if "y" in header:
         column = header.index("y")
-        del lines[0]
-    if not lines:
+        text = text[len(first) :]
+        keep[np.argmax(keep)] = False
+    if not text:
         return np.empty(0, dtype=np.int64)
+    rows = io.StringIO(text)
+    del text  # the StringIO holds its own copy
     try:
-        return np.loadtxt(lines, usecols=column, **_LOADTXT)
+        return np.loadtxt(rows, usecols=column, **_LOADTXT)
     except ValueError:
         # only on failure: find the first data row that does not parse alone
-        fh.seek(0)
-        numbers = [i for i, line in enumerate(fh, 1) if _has_data(line)][-len(lines):]
-        for i, line in zip(numbers, lines):
+        rows.seek(0)
+        for i, line in zip(np.flatnonzero(keep) + 1, rows):
             try:
                 np.loadtxt([line], usecols=column, **_LOADTXT)
             except ValueError:

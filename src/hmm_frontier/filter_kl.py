@@ -178,25 +178,16 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
     # a view, block-major like the state below: y is never copied
     ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
     h = coef.shape[1]
-    # Pass 1, over every block but the last.  m[i, j] is entry (i, j) of the
-    # product of the steps' matrices [[alpha, beta], [gamma, delta]]; its
-    # entries shrink like the product of the predictive densities, so each
-    # step divides it by m[1, 1], the density of the path entering at V = 0.
-    by_column = coef[[0, 2, 1, 3]]  # the steps' columns (alpha, gamma), (beta, delta)
-    m = np.zeros((2, 2, h, (blocks - 1) * rows))
-    m[0, 0] = m[1, 1] = 1.0
-    for k in range(length if blocks > 1 else 0):
-        idx = np.subtract(ys[: blocks - 1, :, k], 1, order="C").ravel()
-        step = np.take(by_column, idx, axis=2)
-        m = step[:2, None] * m[0] + step[2:, None] * m[1]
-        m /= m[1, 1].copy()
+    m00, m01, m10 = _compose(coef, ys[: blocks - 1])
     # The state is H x (blocks * R), block-major, so the blocks still running
     # are a prefix of the columns and every step works on 2-D arrays.
     v = np.zeros((h, blocks * rows))
     for j in range(1, blocks):
-        u = v[:, (j - 1) * rows : j * rows]
-        (a, b), (c, d) = m[:, :, :, (j - 1) * rows : j * rows]
-        v[:, j * rows : (j + 1) * rows] = (a * u + b) / (c * u + d)
+        part = slice((j - 1) * rows, j * rows)
+        u = v[:, part]
+        v[:, j * rows : (j + 1) * rows] = (m00[:, part] * u + m01[:, part]) / (
+            m10[:, part] * u + 1.0
+        )
     # Pass 2: the step update in every block from its entry V; a shorter last
     # block drops out after its ``rem`` steps.
     total = np.zeros(v.shape)
@@ -231,6 +222,34 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
         if j:
             prefix[:, :, ci] += sums[:, j - 1]
     return sums[:, -1], prefix, trace
+
+
+def _compose(coef, ys):
+    """Pass 1: each block's steps composed into one 2 x 2 matrix of the map.
+
+    ``ys`` is the blocks x R x length symbol array.  Entry (i, j) of the
+    product of the steps' matrices [[alpha, beta], [gamma, delta]] shrinks
+    like the product of the predictive densities, so each step divides the
+    product by its (1, 1) entry, the density of the block's path entering at
+    V = 0.  That entry is then exactly 1, so it is not stored: the step uses
+    1 in its place.  Returns the other three entries, each H x (blocks * R).
+    """
+    m00 = np.ones((coef.shape[1], ys.shape[0] * ys.shape[1]))
+    m01, m10 = np.zeros(m00.shape), np.zeros(m00.shape)
+    for k in range(ys.shape[2] if len(ys) else 0):
+        idx = np.subtract(ys[:, :, k], 1, order="C").ravel()
+        alpha, beta, gamma, delta = np.take(coef, idx, axis=2)
+        den = gamma * m01 + delta
+        top = alpha * m00 + beta * m10
+        m10 *= delta
+        m10 += gamma * m00
+        m10 /= den
+        m01 *= alpha
+        m01 += beta
+        m01 /= den
+        top /= den
+        m00 = top
+    return m00, m01, m10
 
 
 def _degenerate(coef, y, length, rows, k, den):

@@ -50,10 +50,23 @@ class PathSample:
         return self.hidden.shape[-1]
 
     def to_csv(self) -> str:
+        """The path as CSV text: an ``x,y`` header, then one ``state,symbol`` row per step.
+
+        Each row is looked up in a table of the rows ``"{x},{y}\\n"`` as
+        NUL-padded bytes, indexed by (state, symbol), so the text costs a few
+        bytes per step and no Python object per row.
+        """
         if self.hidden.ndim != 1:
             raise ValidationError("to_csv writes one path; select a row first")
-        rows = zip(self.hidden.tolist(), self.observed.tolist())
-        return "x,y\n" + "".join(f"{x},{y}\n" for x, y in rows)
+        x, y = self.hidden, self.observed
+        if not x.size:
+            return "x,y\n"
+        if x.min() < 0 or x.max() > 1 or y.min() < 0 or y.max() > np.iinfo(np.uint16).max:
+            raise ValidationError("to_csv writes states in {0, 1} and symbols in {0..65535}")
+        symbols = range(int(y.max()) + 1)
+        table = np.array([[f"{s},{v}\n" for v in symbols] for s in (0, 1)], dtype=bytes)
+        rows = table[x, y].view(np.uint8)
+        return "x,y\n" + rows[rows != 0].tobytes().decode("ascii")
 
 
 def derive_seed(master_seed, *keys) -> np.random.SeedSequence:
@@ -73,8 +86,9 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
 
 
 # Uniforms per draw: a transition draw takes max(1, _DRAW_BLOCK // count) steps
-# of every path, an emission draw max(1, _DRAW_BLOCK // n) whole paths.  The
-# budget bounds the temporaries; the stream order does not depend on it.
+# of every path, an emission draw max(1, _DRAW_BLOCK // n) whole paths, or one
+# path's next _DRAW_BLOCK steps when a path is longer.  The budget bounds the
+# temporaries; the stream order does not depend on it.
 _DRAW_BLOCK = 1 << 18
 
 
@@ -105,14 +119,16 @@ def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
         state = block[-1]
     # inner thresholds only: u < 1 never reaches the last cdf entry
     thresholds = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])[:, :-1]
-    rows = max(1, _DRAW_BLOCK // n)
+    rows, cols = max(1, _DRAW_BLOCK // n), min(n, _DRAW_BLOCK)
+    # cols < n only when rows == 1, so the blocks follow the path-major stream
     for r0 in range(0, count, rows):
-        h = hidden[r0:r0 + rows]
-        u = rng.random(h.shape)
-        y = observed[r0:r0 + rows]
-        y.fill(1)
-        for t in thresholds.T:
-            y += u >= t[h]
+        for c0 in range(0, n, cols):
+            h = hidden[r0:r0 + rows, c0:c0 + cols]
+            u = rng.random(h.shape)
+            y = observed[r0:r0 + rows, c0:c0 + cols]
+            y.fill(1)
+            for t in thresholds.T:
+                y += u >= t[h]
     return PathSample(hidden=hidden, observed=observed, seed=seed)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -336,6 +337,131 @@ def test_observation_formats_read_alike(capsys, tmp_path, monkeypatch):
         outs.append(out)
     assert read == [symbols] * len(files)
     assert outs == [outs[0]] * len(files)
+
+
+def line_reader_observations(fh):
+    """Reference ``--input`` reader: one string per line, kept by ``_has_data``.
+
+    ``cli._observations`` must give the same array, or the same error, for
+    every input.
+    """
+    from hmm_frontier.cli import _LOADTXT, _has_data
+
+    lines = [line for line in fh if _has_data(line)]
+    column = -1
+    header = next(csv.reader(lines[:1]), [])
+    if "y" in header:
+        column = header.index("y")
+        del lines[0]
+    if not lines:
+        return np.empty(0, dtype=np.int64)
+    try:
+        return np.loadtxt(lines, usecols=column, **_LOADTXT)
+    except ValueError:
+        fh.seek(0)
+        numbers = [i for i, line in enumerate(fh, 1) if _has_data(line)][-len(lines):]
+        for i, line in zip(numbers, lines):
+            try:
+                np.loadtxt([line], usecols=column, **_LOADTXT)
+            except ValueError:
+                where = "the y column" if column >= 0 else "the last column"
+                raise ValueError(f"line {i}: no integer symbol in {where}: {line.strip()!r}")
+        raise
+
+
+def _xy(symbols, end="\n"):
+    return "".join(f"{i % 2},{y}{end}" for i, y in enumerate(symbols))
+
+
+READER_CORPUS = {
+    "plain": "1\n3\n2\n2\n",
+    "xy": "x,y\n" + _xy([1, 3, 2, 2]),
+    "yx": "y,x\n3,0\n1,1\n",
+    "headerless": _xy([1, 3, 2]),
+    "no-final-newline": "x,y\n0,1\n1,3",
+    "no-final-newline-blank": "x,y\n0,1\n , ",
+    "crlf": "x,y\r\n" + _xy([1, 3, 2], "\r\n"),
+    "lone-cr": "x,y\r" + _xy([1, 3, 2], "\r"),
+    "mixed-ends": "x,y\r\n0,1\r1,2\n0,3",
+    "blank-rows": "\n , \n,,\nx,y\n0,1\n,,\n\t\n1,2\n \x0b\x1c,\n",
+    "quoted": '"x","y"\n"0"," 1"\n"",""\n"1","3"\n',
+    "quoted-blank-only": '"",""\n" "\n',
+    "quoted-comma": 'x,y\n0,"2,3"\n',
+    "quoted-comma-last": '0,"2,3"\n',
+    "quote-across-lines": 'x,y\n0,"1\n2"\n0,3\n',
+    "quote-closed-next-line": '"1\n"\n2\n',
+    "nbsp-padding": "x,y\n\xa00,1\xa0\n\xa0\n\xa0,\xa0\n1,3\n",
+    "unicode-space-row": "1\n\u2003\n\u3000,\u2003\n2\n",
+    "non-ascii-symbol": "x,y\n0,1\n1,\u0663\n",
+    "header-only": "x,y\n",
+    "header-only-no-newline": "x,y",
+    "empty": "",
+    "only-blank": " \n,,\n\n",
+    "comment-row": "x,y\n# seed 1\n0,1\n",
+    "not-an-integer": "1\n2\n1.5\n",
+    "short-row": "x,y\n0,1\n1\n",
+    "short-row-last-column": "0,1\n1\n",
+    "long-row": "x,y\n0,1,7\n1,2\n",
+    "header-without-y": "a,b\n0,1\n",
+    "error-after-blank": "1\n\n2\nx\n",
+    "error-late": "x,y\n" + _xy([1, 2, 3] * 3000) + "0,z\n",
+    "signs-and-space": "+1\n 2 \n-1\n",
+    "nul-byte": "1\n\x00\n",
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CORPUS))
+def test_reader_matches_the_line_reader(tmp_path, name):
+    import hmm_frontier.cli as cli
+
+    path = tmp_path / "obs.csv"
+    path.write_bytes(READER_CORPUS[name].encode("utf-8"))
+    outcomes = []
+    for reader in (cli._observations, line_reader_observations):
+        try:
+            got = cli._read(str(path), reader)
+            outcomes.append((got.dtype, got.tolist()))
+        except cli.ValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_reader_reports_a_bad_byte_where_the_line_reader_did(tmp_path):
+    # past the first 8 KiB the decoder reports positions within its chunk
+    import hmm_frontier.cli as cli
+
+    path = tmp_path / "obs.csv"
+    path.write_bytes(b"1\n" * 10_000 + b"\xff\n")
+    messages = []
+    for reader in (cli._observations, line_reader_observations):
+        with pytest.raises(cli.ValidationError) as err:
+            cli._read(str(path), reader)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "position 3616" in messages[0]
+
+
+def test_csv_round_trip_memory(capsys, tmp_path):
+    # tracemalloc peaks of a 3e5-step simulate and of estimate on its file:
+    # each at most half of the per-line writer's 22.9 MB and reader's 20.1 MB
+    path = str(tmp_path / "path.csv")
+    theta = ["--p", "0.2", "--q", "0.3", "--f0", "0.5,0.3,0.2", "--f1", "0.2,0.3,0.5"]
+    fit = ["--epsilon", "0.3", "--zeta", "0.3", "--out", str(tmp_path / "fit.json")]
+    assert cli_main(["simulate", *theta, "--n", "100", "--out", path]) == 0  # warm
+    assert cli_main(["estimate", "--input", path, *fit]) == 0
+    peaks = []
+    for argv in (
+        ["simulate", *theta, "--n", "300000", "--seed", "3", "--out", path],
+        ["estimate", "--input", path, *fit],
+    ):
+        tracemalloc.start()
+        try:
+            assert cli_main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 22.9e6 / 2
+    assert peaks[1] <= 20.1e6 / 2
 
 
 class TestProbes:

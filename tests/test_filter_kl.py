@@ -68,6 +68,20 @@ def loop_v_scan(pps, y, checkpoints=(), keep_v=False):
     return loglik, prefix, trace
 
 
+def full_compose(coef, ys):
+    """Reference pass 1: the full 2 x 2 product of each block's step matrices,
+    divided every step by its (1, 1) entry."""
+    by_column = coef[[0, 2, 1, 3]]  # the steps' columns (alpha, gamma), (beta, delta)
+    m = np.zeros((2, 2, coef.shape[1], ys.shape[0] * ys.shape[1]))
+    m[0, 0] = m[1, 1] = 1.0
+    for k in range(ys.shape[2] if len(ys) else 0):
+        idx = np.subtract(ys[:, :, k], 1, order="C").ravel()
+        step = np.take(by_column, idx, axis=2)
+        m = step[:2, None] * m[0] + step[2:, None] * m[1]
+        m /= m[1, 1].copy()
+    return m
+
+
 def positive_theta(rng, K=3):
     while True:
         th = random_theta(rng, K=K)
@@ -279,6 +293,38 @@ class TestBlockedScan:
                 np.testing.assert_array_equal(g, w)
             else:
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "block, rows, n",
+        [(None, 1, 3 * 2048 + 5), (None, 2, 2 * 2048), (None, 7, 5 * 2048 + 17), (3, 4, 100)],
+        ids=["3B+5", "2B", "5B+17-seven-rows", "tiny-blocks"],
+    )
+    def test_three_entries_are_the_full_product(self, block, rows, n, monkeypatch):
+        # the (1, 1) entry is exactly 1 after each division, so carrying the
+        # other three is the same arithmetic: every scan output is bit for bit
+        if block:
+            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+        a, b = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), n, rows, [29, rows, n]).observed
+        checkpoints = [1, n // 2, n]
+        compose, calls = filter_kl._compose, []
+
+        def full(coef, ys):
+            m = full_compose(coef, ys)
+            got = compose(coef, ys)
+            assert np.array_equal(m[1, 1], np.ones(m.shape[2:]))
+            for g, w in zip(got, (m[0, 0], m[0, 1], m[1, 0])):
+                assert np.array_equal(g, w)
+            calls.append(ys.shape)
+            return m[0, 0], m[0, 1], m[1, 0]
+
+        want = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
+        monkeypatch.setattr(filter_kl, "_compose", full)
+        got = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
+        B = filter_kl._SCAN_BLOCK
+        assert calls == [(-(-n // B) - 1, rows, B)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_blocks_match_forward_filter(self, monkeypatch):
         monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)  # every path is 100 blocks

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ def loop_sample_paths(theta, n, count, seed):
         mask = hidden == x
         observed[mask] = np.searchsorted(cdf[x], u[mask], side="right") + 1
     return hidden, observed
+
+
+def fstring_to_csv(ps):
+    """Reference writer: one f-string row per step, the bytes ``PathSample.to_csv`` must keep."""
+    rows = zip(ps.hidden.tolist(), ps.observed.tolist())
+    return "x,y\n" + "".join(f"{x},{y}\n" for x, y in rows)
+
+
+def uniform_theta(K):
+    return ThetaParams(p=0.3, q=0.4, f0=np.full(K, 1 / K), f1=np.full(K, 1 / K))
 
 
 ORACLE_THETAS = {
@@ -123,6 +135,30 @@ class TestSamplePath:
         with pytest.raises(ValidationError):
             sample_paths(worked_theta(), 3, 2, 5).to_csv()
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 300_000])
+    @pytest.mark.parametrize("K", [3, 12, 256])
+    def test_csv_bytes_equal_the_fstring_writer(self, K, n):
+        ps = sample_path(uniform_theta(K), n, [K, n])
+        assert ps.observed.dtype == (np.uint16 if K == 256 else np.uint8)
+        assert ps.to_csv() == fstring_to_csv(ps)
+
+    def test_csv_of_other_integer_dtypes(self):
+        ps = sample_path(uniform_theta(12), 50, 3)
+        wide = simulate.PathSample(
+            hidden=ps.hidden.astype(np.int64), observed=ps.observed.astype(np.int32), seed=3
+        )
+        assert wide.to_csv() == ps.to_csv() == fstring_to_csv(ps)
+
+    @pytest.mark.parametrize(
+        "hidden, observed",
+        [([0, 2], [1, 1]), ([0, -1], [1, 1]), ([0, 1], [1, -3]), ([0, 1], [1, 2**16])],
+        ids=["state-2", "negative-state", "negative-symbol", "symbol-2**16"],
+    )
+    def test_csv_refuses_what_its_table_does_not_hold(self, hidden, observed):
+        ps = simulate.PathSample(hidden=np.array(hidden), observed=np.array(observed), seed=0)
+        with pytest.raises(ValidationError, match="to_csv writes states"):
+            ps.to_csv()
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
@@ -148,6 +184,21 @@ class TestBitIdentity:
         shapes = [(n, count) for n in (1, 2, 3, 4, 11, 50) for count in (1, 7)]
         for theta in ORACLE_THETAS.values():
             assert_matches_loop(theta, shapes, seed)
+
+
+def test_long_emission_draw_is_bounded_by_the_budget():
+    # a path longer than the budget is drawn in column chunks of it: the
+    # peak is the paths (2 bytes per step) plus a fixed multiple of the budget
+    n = 2_000_000
+    assert n > simulate._DRAW_BLOCK
+    tracemalloc.start()
+    try:
+        ps = sample_paths(worked_theta(), n, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.observed.shape == (1, n)
+    assert peak <= 2 * n + 32 * simulate._DRAW_BLOCK
 
 
 class TestExactLaw:
