@@ -176,7 +176,7 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
             t0 = time.perf_counter()
             try:
                 theta = phipsi_to_theta(truth_r)
-                path = sample_paths(theta, n, 1, seed_int)
+                path = sample_paths(theta, n, 1, seed_int, hidden=False)
                 phat = empirical_triple_law(path.observed[0], box.K)
                 fit = min_distance_fit(phat, box)
                 rec = losses(fit.estimate, truth_r)

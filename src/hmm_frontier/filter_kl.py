@@ -334,7 +334,7 @@ def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicates: int,
         raise ValidationError("replicates must be >= 2")
     lengths = increasing_grid(lengths, "n_grid")
     _coefficients([a, b])  # refuse a zero emission before drawing the paths
-    paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed)
+    paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed, hidden=False)
     _, (la, lb) = loglik_batch([a, b], paths.observed, lengths)
     return la - lb
 

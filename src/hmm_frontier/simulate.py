@@ -27,27 +27,31 @@ class PathSample:
     ``hidden`` and ``observed`` are read-only integer arrays of shape (n,)
     for one path or (R, n) for R paths of common length n, kept in the dtype
     they are given (``sample_paths`` stores uint8 states and the narrowest
-    unsigned type that holds K); ``len()`` is n.
+    unsigned type that holds K); ``len()`` is n.  ``hidden`` is None when
+    the states were not kept (``sample_paths(..., hidden=False)``).
     """
 
-    hidden: np.ndarray
+    hidden: np.ndarray | None
     observed: np.ndarray
     seed: object
 
     def __post_init__(self):
-        h, y = np.asarray(self.hidden), np.asarray(self.observed)
-        if h.shape != y.shape or h.ndim not in (1, 2):
+        y = np.asarray(self.observed)
+        h = None if self.hidden is None else np.asarray(self.hidden)
+        arrays = [y] if h is None else [h, y]
+        if (h is not None and h.shape != y.shape) or y.ndim not in (1, 2):
             raise ValidationError("hidden and observed must have equal shapes (n,) or (R, n)")
-        if h.size and (h.dtype.kind not in "iu" or y.dtype.kind not in "iu"):
-            raise ValidationError(f"paths must be integer arrays, got {h.dtype} and {y.dtype}")
+        if y.size and any(a.dtype.kind not in "iu" for a in arrays):
+            dtypes = " and ".join(str(a.dtype) for a in arrays)
+            raise ValidationError(f"paths must be integer arrays, got {dtypes}")
         # np.asarray returns an array as is: freezing never copies R x n arrays
-        h.setflags(write=False)
-        y.setflags(write=False)
+        for a in arrays:
+            a.setflags(write=False)
         object.__setattr__(self, "hidden", h)
         object.__setattr__(self, "observed", y)
 
     def __len__(self) -> int:
-        return self.hidden.shape[-1]
+        return self.observed.shape[-1]
 
     def to_csv(self) -> str:
         """The path as CSV text: an ``x,y`` header, then one ``state,symbol`` row per step.
@@ -56,6 +60,8 @@ class PathSample:
         NUL-padded bytes, indexed by (state, symbol), so the text costs a few
         bytes per step and no Python object per row.
         """
+        if self.hidden is None:
+            raise ValidationError("to_csv writes states; this sample holds no hidden states")
         if self.hidden.ndim != 1:
             raise ValidationError("to_csv writes one path; select a row first")
         x, y = self.hidden, self.observed
@@ -92,44 +98,52 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
 _DRAW_BLOCK = 1 << 18
 
 
-def sample_paths(theta: ThetaParams, n: int, count: int, seed) -> PathSample:
+def sample_paths(
+    theta: ThetaParams, n: int, count: int, seed, *, hidden: bool = True
+) -> PathSample:
     """Vectorized sampler: `count` independent stationary paths of length n.
 
     Returns one ``PathSample`` whose arrays have shape (count, n): hidden
     states as uint8, symbols as the narrowest unsigned type that holds K
     (uint8 for K <= 255).  The hidden chain is scanned in blocks of time
-    steps (``_scan_block``), and each symbol is 1 plus the number of inner
-    thresholds of its state's emission cdf that its uniform reaches.
-    Neither loop runs per time step.
+    steps (``_scan_block``) into the symbol array, whose dtype also holds
+    0/1.  Each emission block then reads its own states and overwrites them
+    with its symbols: 1 plus the number of inner thresholds of its state's
+    emission cdf that its uniform reaches.  Neither loop runs per time step.
+
+    With ``hidden=True`` one uint8 copy of the states is taken before the
+    emissions, so the sample costs 2 bytes per symbol; with ``hidden=False``
+    ``PathSample.hidden`` is None and the sample costs 1 byte per symbol
+    for K <= 255.  The uniforms and the symbols are the same either way.
     """
     if n < 0 or count < 0:
         raise ValidationError("n and count must be >= 0")
     rng = np.random.default_rng(seed)
-    hidden = np.empty((count, n), dtype=np.uint8)
     observed = np.empty((count, n), dtype=np.min_scalar_type(theta.f0.size))
     if n == 0 or count == 0:
-        return PathSample(hidden=hidden, observed=observed, seed=seed)
-    pi1 = stationary_dist(theta.p, theta.q)[1]
-    state = rng.random(count) < pi1
-    hidden[:, 0] = state
+        states = observed.astype(np.uint8) if hidden else None
+        return PathSample(hidden=states, observed=observed, seed=seed)
+    observed[:, 0] = rng.random(count) < stationary_dist(theta.p, theta.q)[1]
     steps = max(1, _DRAW_BLOCK // count)
     for k0 in range(1, n, steps):
-        block = _scan_block(rng.random((min(steps, n - k0), count)), state, theta)
-        hidden[:, k0:k0 + len(block)] = block.T
-        state = block[-1]
+        k1 = min(k0 + steps, n)
+        u = rng.random((k1 - k0, count))
+        observed[:, k0:k1] = _scan_block(u, observed[:, k0 - 1], theta).T
+        del u  # free this draw before the next one is made
+    states = observed.astype(np.uint8) if hidden else None
     # inner thresholds only: u < 1 never reaches the last cdf entry
     thresholds = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])[:, :-1]
     rows, cols = max(1, _DRAW_BLOCK // n), min(n, _DRAW_BLOCK)
     # cols < n only when rows == 1, so the blocks follow the path-major stream
     for r0 in range(0, count, rows):
         for c0 in range(0, n, cols):
-            h = hidden[r0:r0 + rows, c0:c0 + cols]
-            u = rng.random(h.shape)
             y = observed[r0:r0 + rows, c0:c0 + cols]
+            h = y.copy()  # the block's states, which y.fill(1) erases
+            u = rng.random(h.shape)
             y.fill(1)
             for t in thresholds.T:
                 y += u >= t[h]
-    return PathSample(hidden=hidden, observed=observed, seed=seed)
+    return PathSample(hidden=states, observed=observed, seed=seed)
 
 
 def _scan_block(u, state, theta):
@@ -183,8 +197,17 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    y = y.astype(np.int64, copy=False)  # (y - 1) * K * K would wrap in uint8
-    idx = (y[:-2] - 1) * K * K + (y[1:-1] - 1) * K + (y[2:] - 1)
+    if not np.can_cast(y.dtype, np.int64):
+        y = y.astype(np.int64)  # uint64 would promote the sums below to float
+    # Horner's rule in one int64 buffer: ((y0 - 1) K + y1 - 1) K + y2 - 1
+    idx = y[:-2].astype(np.int64)
+    idx -= 1
+    idx *= K
+    idx += y[1:-1]
+    idx -= 1
+    idx *= K
+    idx += y[2:]
+    idx -= 1
     counts = np.bincount(idx, minlength=K**3).astype(float)
     return TripleLaw(probs=(counts / n).reshape(K, K, K))
 

@@ -432,9 +432,9 @@ class TestKL:
     def test_zero_emission_refused_before_sampling(self, monkeypatch):
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return sample_paths(*args)
+            return sample_paths(*args, **kwargs)
 
         monkeypatch.setattr(filter_kl, "sample_paths", counting)
         a = theta_to_phipsi(worked_theta())
@@ -525,3 +525,16 @@ class TestNarrowSymbols:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * R * n + 12 * 2**20
+
+    def test_llr_paths_keeps_no_states(self):
+        # the scored paths hold one byte per symbol and no hidden states;
+        # the draw blocks add about 0.6 bytes per symbol at this size
+        R, n = 8, 10**6
+        a, b = scan_pair()
+        tracemalloc.start()
+        try:
+            llr_paths(a, b, a, [n], R, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * R * n

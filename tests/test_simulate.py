@@ -70,6 +70,10 @@ def assert_matches_loop(theta, shapes, seed):
         got = sample_paths(theta, n, count, seed)
         assert np.array_equal(got.hidden, h), (n, count)
         assert np.array_equal(got.observed, y), (n, count)
+        scored = sample_paths(theta, n, count, seed, hidden=False)
+        assert scored.hidden is None
+        assert scored.observed.dtype == got.observed.dtype
+        assert np.array_equal(scored.observed, y), (n, count)
 
 
 class TestSamplePath:
@@ -149,6 +153,19 @@ class TestSamplePath:
         )
         assert wide.to_csv() == ps.to_csv() == fstring_to_csv(ps)
 
+    def test_sample_without_states(self):
+        ps = sample_paths(worked_theta(), 40, 3, 8, hidden=False)
+        assert ps.hidden is None and len(ps) == 40
+        assert not ps.observed.flags.writeable
+        row = simulate.PathSample(hidden=None, observed=ps.observed[1], seed=8)
+        assert len(row) == 40 and not row.observed.flags.writeable
+        with pytest.raises(ValidationError, match="no hidden states"):
+            row.to_csv()
+        with pytest.raises(ValidationError, match="equal shapes"):
+            simulate.PathSample(hidden=None, observed=np.ones((2, 2, 2), int), seed=0)
+        with pytest.raises(ValidationError, match="integer arrays"):
+            simulate.PathSample(hidden=None, observed=np.ones(4), seed=0)
+
     @pytest.mark.parametrize(
         "hidden, observed",
         [([0, 2], [1, 1]), ([0, -1], [1, 1]), ([0, 1], [1, -3]), ([0, 1], [1, 2**16])],
@@ -171,7 +188,18 @@ class TestBitIdentity:
         for count in (0, 1, 7):
             s = max(1, B // max(count, 1))  # steps per transition draw
             shapes += [(n, count) for n in (0, 1, 2, s, s + 1, 3 * s + 5)]
+        # paths longer than the budget: each row's emissions in column chunks
+        shapes.append((2 * B + 3, 3))
         assert_matches_loop(theta, shapes, seed)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+    def test_uint16_symbols_match_the_step_loop(self, monkeypatch, seed):
+        B = 1024
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", B)
+        f0 = np.linspace(1.0, 2.0, 300)
+        wide = ThetaParams(p=0.2, q=0.3, f0=f0 / f0.sum(), f1=f0[::-1] / f0.sum())
+        assert sample_paths(wide, 1, 1, seed).observed.dtype == np.uint16
+        assert_matches_loop(wide, [(0, 3), (50, 7), (2 * B + 3, 3)], seed)
 
     def test_alternation_and_absent_symbol(self):
         alt = sample_paths(ORACLE_THETAS["p=q=1"], 100, 3, 4).hidden
@@ -187,18 +215,20 @@ class TestBitIdentity:
 
 
 def test_long_emission_draw_is_bounded_by_the_budget():
-    # a path longer than the budget is drawn in column chunks of it: the
-    # peak is the paths (2 bytes per step) plus a fixed multiple of the budget
+    # a path longer than the budget is drawn in column chunks of it: the peak
+    # is the paths (2 bytes per step with the states, 1 without) plus a fixed
+    # multiple of the budget
     n = 2_000_000
     assert n > simulate._DRAW_BLOCK
-    tracemalloc.start()
-    try:
-        ps = sample_paths(worked_theta(), n, 1, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ps.observed.shape == (1, n)
-    assert peak <= 2 * n + 32 * simulate._DRAW_BLOCK
+    for hidden, path_bytes in ((True, 2), (False, 1)):
+        tracemalloc.start()
+        try:
+            ps = sample_paths(worked_theta(), n, 1, 1, hidden=hidden)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.observed.shape == (1, n)
+        assert peak <= path_bytes * n + 32 * simulate._DRAW_BLOCK, hidden
 
 
 class TestExactLaw:
@@ -238,6 +268,28 @@ class TestEmpiricalTripleLaw:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             empirical_triple_law([1, 2], 3)
+
+    @pytest.mark.parametrize("K, dtype", [(3, np.uint8), (300, np.uint16), (3, np.uint64)])
+    def test_counts_equal_the_widened_sum(self, K, dtype):
+        y = np.random.default_rng(K).integers(1, K + 1, size=20_000).astype(dtype)
+        w = y.astype(np.int64)
+        idx = (w[:-2] - 1) * K * K + (w[1:-1] - 1) * K + (w[2:] - 1)
+        counts = np.bincount(idx, minlength=K**3).reshape(K, K, K)
+        t = empirical_triple_law(y, K)
+        assert np.array_equal(t.probs, counts / y.size)
+
+    def test_count_memory_is_one_int64_per_symbol(self):
+        # the triple index is built in place in one int64 buffer
+        n = 300_000
+        y = sample_path(worked_theta(), n, 9).observed
+        assert y.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            empirical_triple_law(y, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n
 
     def test_concentrates_on_truth(self):
         th = worked_theta()
