@@ -13,6 +13,8 @@ an unknown key exits 1, and explicit flags win, abbreviations included.
 a headerless CSV whose last column is read; ``--params-a/-b`` hold
 ``{"phi", "psi1", "psi2"}`` or native ``{"p", "q", "f0", "f1"}`` JSON with
 positive emissions.  Errors name the file, and a bad ``--input`` row its line.
+``--input`` is parsed in one ``np.loadtxt`` pass; text that pass refuses
+(blank rows, quotes) is read line by line, which names the first bad line.
 
 Output goes to ``--out`` (stdout when omitted).  Exit codes: 0 on success,
 1 on validation errors or bad usage (every input error, with an ``error:``
@@ -25,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -153,16 +156,6 @@ def _params(fh) -> PhiPsiParams:
 
 
 _LOADTXT = {"delimiter": ",", "dtype": np.int64, "comments": None, "quotechar": '"', "ndmin": 1}
-# The kind of each byte of the UTF-8 text: 0 a comma or what ``str.strip``
-# removes, 1 a line end, 2 data, 3 a quote or a byte of a non-ASCII character,
-# whose line is judged by ``_has_data``.
-_BYTE_KIND = np.array(
-    [
-        1 if c == 10 else 3 if c == 34 or c > 127 else 0 if c == 44 or chr(c).isspace() else 2
-        for c in range(256)
-    ],
-    dtype=np.uint8,
-)
 
 
 def _has_data(line: str) -> bool:
@@ -171,69 +164,55 @@ def _has_data(line: str) -> bool:
     return bool(fields.strip())
 
 
-def _lines_holding(marked: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Per line, whether ``marked`` holds some byte of it besides its end.
-
-    ``ends`` marks each line's last byte, and ``marked`` marks every line end
-    too.  Among the marked bytes, a line holds one besides its end exactly
-    when the byte before its end is not the previous line's end.
-    """
-    seq = ends[marked]
-    return ~np.concatenate(([True], seq))[:-1][seq]
-
-
-def _data_lines(text: str):
-    """``text`` without the lines ``_has_data`` finds blank, and a kept flag per line.
-
-    The flags come from byte masks over the UTF-8 bytes; only a line with a
-    quote or a non-ASCII character is passed to ``_has_data`` as a string.
-    """
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    kind = _BYTE_KIND[raw]
-    if text and not text.endswith("\n"):  # the last line ends at the end of the file
-        kind = np.append(kind, 1)
-    special = (kind == 3).any()
-    ends = kind == 1
-    keep = _lines_holding(kind >= 1, ends)
-    if not special and keep.all():
-        return text, keep
-    bounds = np.flatnonzero(ends) + 1
-    starts = np.concatenate(([0], bounds[:-1]))
-    for i in np.flatnonzero(_lines_holding((kind == 3) | ends, ends)):
-        keep[i] = _has_data(raw[starts[i] : bounds[i]].tobytes().decode("utf-8"))
-    lengths = bounds - starts
-    lengths[-1] -= len(kind) - len(raw)  # the added end is no byte of the text
-    return raw[np.repeat(keep, lengths)].tobytes().decode("utf-8"), keep
-
-
-def _observations(fh) -> np.ndarray:
-    """One symbol per line, CSV with a ``y`` header column, or headerless CSV
-    read by its last column; rows whose CSV fields are all blank are skipped."""
-    # chunks of the size line iteration reads, so a decoding error names the same position
-    text, keep = _data_lines("".join(iter(lambda: fh.read(8192), "")))
+def _line_reader(rows) -> np.ndarray:
+    """``_observations`` line by line: blank rows are skipped and the first
+    row that does not parse is named by its line in the file."""
+    lines = [(i, line) for i, line in enumerate(rows, 1) if _has_data(line)]
     column = -1
-    first = text[: text.find("\n") + 1 or len(text)]
-    header = next(csv.reader([first]), [])
+    header = next(csv.reader([lines[0][1]]), []) if lines else []
     if "y" in header:
         column = header.index("y")
-        text = text[len(first) :]
-        keep[np.argmax(keep)] = False
-    if not text:
+        del lines[0]
+    if not lines:
         return np.empty(0, dtype=np.int64)
-    rows = io.StringIO(text)
-    del text  # the StringIO holds its own copy
     try:
-        return np.loadtxt(rows, usecols=column, **_LOADTXT)
+        return np.loadtxt([line for _, line in lines], usecols=column, **_LOADTXT)
     except ValueError:
         # only on failure: find the first data row that does not parse alone
-        rows.seek(0)
-        for i, line in zip(np.flatnonzero(keep) + 1, rows):
+        for i, line in lines:
             try:
                 np.loadtxt([line], usecols=column, **_LOADTXT)
             except ValueError:
                 where = "the y column" if column >= 0 else "the last column"
                 raise ValueError(f"line {i}: no integer symbol in {where}: {line.strip()!r}")
         raise
+
+
+def _observations(fh) -> np.ndarray:
+    """One symbol per line, CSV with a ``y`` header column, or headerless CSV
+    read by its last column; rows whose CSV fields are all blank are skipped.
+
+    One ``np.loadtxt`` call parses the text.  It skips empty lines and fails
+    on every other blank row; then, and for text it must not take,
+    ``_line_reader`` reads the text.
+    """
+    # chunks of the size line iteration reads, so a decoding error names the same position
+    text = "".join(iter(lambda: fh.read(8192), ""))
+    first = text[: text.find("\n") + 1 or len(text)]
+    header = next(csv.reader([first]), [])
+    column = header.index("y") if "y" in header else -1
+    # np.loadtxt lets a quoted field span lines, would skip an empty line
+    # before the header and warns on no data: such text is read line by line
+    body = len(first) if column >= 0 else 0
+    one_pass = '"' not in text and first != "\n" and bool(re.compile(r"\S").search(text, body))
+    rows = io.StringIO(text)
+    del text  # the StringIO holds its own copy
+    if one_pass:
+        try:
+            return np.loadtxt(rows, usecols=column, skiprows=int(column >= 0), **_LOADTXT)
+        except ValueError:
+            rows.seek(0)
+    return _line_reader(rows)
 
 
 def build_parser() -> _Parser:

@@ -87,8 +87,8 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     through the transition matrix.  The k = 1 step uses P(X_1 = x) directly.
     """
     y = require_symbols(observed, theta.f0.size)
-    if y.size == 0:
-        raise ValidationError("observed must be nonempty")
+    if y.ndim != 1 or y.size == 0:
+        raise ValidationError("observed must be a nonempty vector")
     p, q = theta.p, theta.q
     f = np.vstack([theta.f0, theta.f1])  # f[x, symbol-1]
     pred = stationary_dist(p, q)

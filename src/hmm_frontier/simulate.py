@@ -33,7 +33,6 @@ class PathSample:
 
     hidden: np.ndarray | None
     observed: np.ndarray
-    seed: object
 
     def __post_init__(self):
         y = np.asarray(self.observed)
@@ -85,10 +84,8 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
 
     The path is row 0 of ``sample_paths(theta, n, 1, seed)``.
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
     batch = sample_paths(theta, n, 1, seed)
-    return PathSample(hidden=batch.hidden[0], observed=batch.observed[0], seed=seed)
+    return PathSample(hidden=batch.hidden[0], observed=batch.observed[0])
 
 
 # Uniforms per draw: a transition draw takes max(1, _DRAW_BLOCK // count) steps
@@ -122,7 +119,7 @@ def sample_paths(
     observed = np.empty((count, n), dtype=np.min_scalar_type(theta.f0.size))
     if n == 0 or count == 0:
         states = observed.astype(np.uint8) if hidden else None
-        return PathSample(hidden=states, observed=observed, seed=seed)
+        return PathSample(hidden=states, observed=observed)
     observed[:, 0] = rng.random(count) < stationary_dist(theta.p, theta.q)[1]
     steps = max(1, _DRAW_BLOCK // count)
     for k0 in range(1, n, steps):
@@ -143,7 +140,7 @@ def sample_paths(
             y.fill(1)
             for t in thresholds.T:
                 y += u >= t[h]
-    return PathSample(hidden=states, observed=observed, seed=seed)
+    return PathSample(hidden=states, observed=observed)
 
 
 def _scan_block(u, state, theta):
@@ -194,6 +191,8 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
     downstream distance computations never renormalize.
     """
     y = require_symbols(observed, K)
+    if y.ndim != 1:
+        raise ValidationError("observed must be a vector of symbols")
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")

@@ -441,6 +441,57 @@ def test_reader_reports_a_bad_byte_where_the_line_reader_did(tmp_path):
     assert "position 3616" in messages[0]
 
 
+# what random input files are drawn from: data, separators, blanks of every
+# kind (Unicode ones too), every line end, quotes, comments, header letters,
+# NUL and a non-ASCII digit
+FUZZ_PIECES = [
+    *"0123456789+-,.", " ", "\t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2003",
+    "\n", "\r\n", "\r", '"', "#", "x", "y", "\x00", "\u0663",
+]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_reader_matches_the_line_reader_on_random_files(tmp_path):
+    # the one parse rests on np.loadtxt skipping empty lines and failing on
+    # every other blank row; any file where it does not must read alike too
+    import hmm_frontier.cli as cli
+
+    rng = np.random.default_rng(17)
+    path = tmp_path / "obs.csv"
+    weights = np.array([4 if p in "0123456789\n" else 1 for p in FUZZ_PIECES])  # some parse
+    for _ in range(2000):
+        pieces = rng.choice(FUZZ_PIECES, size=rng.integers(0, 16), p=weights / weights.sum())
+        # no header, a y header, or one whose last field reads as a symbol,
+        # sometimes after an empty line, which the header test must skip
+        header = rng.choice(["", "x,y\n", "y,0\n"], p=[0.5, 0.3, 0.2])
+        text = rng.choice(["", "\n"], p=[0.8, 0.2]) + header + "".join(pieces)
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for reader in (cli._observations, line_reader_observations):
+            try:
+                got = cli._read(str(path), reader)
+                outcomes.append((got.dtype, got.tolist()))
+            except cli.ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], text
+
+
+def test_only_blank_rows_and_quotes_take_the_line_reader(tmp_path, monkeypatch):
+    import hmm_frontier.cli as cli
+
+    def refused(rows):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(cli, "_line_reader", refused)
+    path = tmp_path / "path.csv"
+    assert cli_main(["simulate", "--n", "3000", "--out", str(path)]) == 0
+    assert cli._read(str(path), cli._observations).size == 3000
+    for name in ("blank-rows", "quoted"):
+        path.write_text(READER_CORPUS[name])
+        with pytest.raises(AssertionError, match="line by line"):
+            cli._read(str(path), cli._observations)
+
+
 def test_csv_round_trip_memory(capsys, tmp_path):
     # tracemalloc peaks of a 3e5-step simulate and of estimate on its file:
     # each at most half of the per-line writer's 22.9 MB and reader's 20.1 MB

@@ -10,6 +10,7 @@ from hmm_frontier import (
     canonicalize,
     empirical_triple_law,
     estimate_theta,
+    forward_filter,
     losses,
     min_distance_fit,
     moment_init,
@@ -284,6 +285,18 @@ class TestEstimateTheta:
         est, fit = estimate_theta(np.ones(100, dtype=int), worked_box(), random_starts=1)
         assert validate_phipsi(fit.estimate, worked_box()).all_pass
         assert isinstance(fit.converged, bool)
+
+    def test_symbol_matrix_is_a_named_error(self):
+        # an R x n batch of paths is not one observation sequence
+        y = sample_path(worked_theta(), 50, 3).observed
+        batch = np.stack([y, y])
+        for entry in (
+            lambda: empirical_triple_law(batch, 3),
+            lambda: estimate_theta(batch, worked_box(), random_starts=0),
+            lambda: forward_filter(worked_theta(), batch),
+        ):
+            with pytest.raises(ValidationError, match="vector"):
+                entry()
 
 
 class TestLosses:

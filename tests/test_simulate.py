@@ -149,7 +149,7 @@ class TestSamplePath:
     def test_csv_of_other_integer_dtypes(self):
         ps = sample_path(uniform_theta(12), 50, 3)
         wide = simulate.PathSample(
-            hidden=ps.hidden.astype(np.int64), observed=ps.observed.astype(np.int32), seed=3
+            hidden=ps.hidden.astype(np.int64), observed=ps.observed.astype(np.int32)
         )
         assert wide.to_csv() == ps.to_csv() == fstring_to_csv(ps)
 
@@ -157,14 +157,14 @@ class TestSamplePath:
         ps = sample_paths(worked_theta(), 40, 3, 8, hidden=False)
         assert ps.hidden is None and len(ps) == 40
         assert not ps.observed.flags.writeable
-        row = simulate.PathSample(hidden=None, observed=ps.observed[1], seed=8)
+        row = simulate.PathSample(hidden=None, observed=ps.observed[1])
         assert len(row) == 40 and not row.observed.flags.writeable
         with pytest.raises(ValidationError, match="no hidden states"):
             row.to_csv()
         with pytest.raises(ValidationError, match="equal shapes"):
-            simulate.PathSample(hidden=None, observed=np.ones((2, 2, 2), int), seed=0)
+            simulate.PathSample(hidden=None, observed=np.ones((2, 2, 2), int))
         with pytest.raises(ValidationError, match="integer arrays"):
-            simulate.PathSample(hidden=None, observed=np.ones(4), seed=0)
+            simulate.PathSample(hidden=None, observed=np.ones(4))
 
     @pytest.mark.parametrize(
         "hidden, observed",
@@ -172,7 +172,7 @@ class TestSamplePath:
         ids=["state-2", "negative-state", "negative-symbol", "symbol-2**16"],
     )
     def test_csv_refuses_what_its_table_does_not_hold(self, hidden, observed):
-        ps = simulate.PathSample(hidden=np.array(hidden), observed=np.array(observed), seed=0)
+        ps = simulate.PathSample(hidden=np.array(hidden), observed=np.array(observed))
         with pytest.raises(ValidationError, match="to_csv writes states"):
             ps.to_csv()
 
