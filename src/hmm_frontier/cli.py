@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -272,6 +273,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built at the first ``cli_main`` call; parsing
+    does not change it."""
+    return build_parser()
+
+
 def _run(args) -> None:
     cmd = args.command
     if cmd == "simulate":
@@ -356,7 +364,7 @@ def _run(args) -> None:
 
 def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:

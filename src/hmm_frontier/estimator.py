@@ -10,9 +10,11 @@ phi2-sign flip, the box witness, and random box members (the keywords
 ``min_distance_fits`` and ``estimate_theta``).
 
 The descent is a lockstep Nelder-Mead (``_nelder_mead``): one loop moves a
-stack of simplexes, one row per (target, start), and scores each step's
-trial points of every row in one call of the batched objective.  Each row
-takes exactly the steps, values and evaluation count that
+stack of simplexes, one row per (target, start).  A step scores the four
+trial points of every row (expansion, reflection, outside and inside
+contraction) in one call of the batched objective and takes each row's new
+vertex by one index over them; only a shrink calls the objective again.
+Each row takes exactly the steps, values and evaluation count that
 ``scipy.optimize.minimize(method="Nelder-Mead")`` takes on its own, and the
 objective rounds every row as it would alone, so a fit is the same bit for
 bit whether it runs alone (``min_distance_fit``) or stacked with other
@@ -56,6 +58,7 @@ from .triple_law import (
     MomentVector,
     TripleLaw,
     _row_dot,
+    m_of_phi,
     moment_tensor,
     phi_of_m,
     triple_tensor,
@@ -66,10 +69,15 @@ _SIMPLEX_STEP = 0.05
 _MAX_EVALS = 2000  # objective evaluations per simplex start
 _FATOL = 1e-12
 _XATOL = 1e-10
-# Nelder-Mead trial points a * centroid - b * worst vertex: expansion, outside
-# and inside contraction
-_TRIAL_A = np.array([3.0, 1.5, 0.5])[:, None, None]
-_TRIAL_B = np.array([2.0, 0.5, -0.5])[:, None, None]
+# Nelder-Mead trial points a * centroid - b * worst vertex: expansion,
+# reflection, outside and inside contraction
+_TRIAL_A = np.array([3.0, 2.0, 1.5, 0.5])[:, None, None]
+_TRIAL_B = np.array([2.0, 1.0, 0.5, -0.5])[:, None, None]
+# The step's new vertex by (kind, win), kind 0-3 for expand, accept, outside
+# and inside contraction: one of the trial points above, or a shrink.  A
+# losing expansion leaves the reflection, a losing contraction shrinks.
+_SHRINK, _REFUSED = 4, 5
+_OUTCOME = np.array([[1, 0], [1, 1], [_SHRINK, 2], [_SHRINK, 3]])
 _PENALTY = 10.0  # weight of the phi3-infeasibility penalty in the objective
 _GRID_POINTS = 9  # grid-floor points per scalar coordinate
 
@@ -153,7 +161,7 @@ def _clip(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox):
     b1 = _phi1_bound(phi2, box)
     phi1 = np.minimum(np.maximum(phi1, -b1), b1)
     hi = _phi3_max(np.asarray(phi1)[..., None], psi1, psi2)
-    phi3 = np.minimum(np.maximum(phi3, box.zeta), np.maximum(hi, box.zeta))
+    phi3 = np.maximum(np.minimum(phi3, hi), box.zeta)
     return phi1, phi2, phi3, hi
 
 
@@ -188,9 +196,9 @@ def _decode(Z: np.ndarray, box: ConstraintBox):
     K = box.K
     u = Z[:, 3 : 3 + K]
     w = Z[:, 3 + K : 3 + 2 * K]
-    eu = np.exp(u - u.max(axis=1, keepdims=True))
-    psi1 = eu / eu.sum(axis=1, keepdims=True)
-    w = w - w.sum(axis=1, keepdims=True) / K
+    eu = np.exp(u - np.maximum.reduce(u, axis=1, keepdims=True))
+    psi1 = eu / np.add.reduce(eu, axis=1, keepdims=True)
+    w = w - np.add.reduce(w, axis=1, keepdims=True) / K
     norm = np.sqrt(_row_dot(w, w))[:, None]
     ok = norm > _SIGN_TOL
     if ok.all():
@@ -206,9 +214,11 @@ def _objective(Z: np.ndarray, targets: np.ndarray, box: ConstraintBox) -> np.nda
     in ``targets``, shape ``(B, K, K, K)``, plus the phi3-infeasibility
     penalty.  Every row is rounded as it would be alone (B = 1)."""
     phi1, phi2, phi3, psi1, psi2, pen = _decode(Z, box)
+    m = m_of_phi((phi1, phi2, phi3))
     cells = (slice(None), None, None, None)
-    t = triple_tensor(phi1[cells], phi2[cells], phi3[cells], psi1, psi2)
-    d = (t - targets).reshape(len(Z), -1)
+    t = moment_tensor(m.m1[cells], m.m2[cells], m.m3[cells], psi1, psi2)
+    t -= targets
+    d = t.reshape(len(Z), -1)
     return np.sqrt(_row_dot(d, d)) + _PENALTY * pen
 
 
@@ -225,6 +235,14 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
     is refused).  Rows leave the stack when they stop.  Returns every
     row's final simplex and vertex values, sorted best first as scipy's
     ``final_simplex``, and its evaluation count.
+
+    A step writes every row's four trial points (expansion, reflection,
+    outside and inside contraction) into one array and scores them in one
+    call of ``f``; ``nfev`` counts only the calls scipy would make.  Where
+    the reflection falls among the best, second worst and worst values
+    gives the row's kind of step, and whether that step's trial point wins
+    gives its outcome (``_OUTCOME``): the new vertex, taken by one index
+    over the four points, or a shrink, the only other call of ``f``.
     """
     sim = np.array(simplexes, dtype=float)
     B, N1, N = sim.shape
@@ -236,11 +254,15 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
         sim, fsim = _sort_rows(sim, fsim)
     out_sim, out_fsim, evals = np.empty_like(sim), np.empty_like(fsim), np.empty_like(nfev)
     vertex = np.arange(1, N1)
+    ranks = np.array([0, N1 - 2, N1 - 1])  # the best, second worst and worst vertex
+    stacked = 0  # rows.size when the per-step index arrays below were built
     while rows.size:
-        stop = (nfev >= maxfev) | (
-            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol)
-        )
+        # the rows are sorted, so scipy's max |fsim[0] - fsim[1:]| is
+        # fsim[-1] - fsim[0]; the vertex spread is needed only where that is small
+        stop = fsim[:, -1] - fsim[:, 0] <= fatol
+        if stop.any():
+            stop &= np.maximum.reduce(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol
+        stop |= nfev >= maxfev
         if stop.any():
             done = rows[stop]
             out_sim[done], out_fsim[done], evals[done] = sim[stop], fsim[stop], nfev[stop]
@@ -248,37 +270,44 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
             rows, sim, fsim, nfev = rows[go], sim[go], fsim[go], nfev[go]
             if not rows.size:
                 break
-        xbar = sim[:, :-1].sum(axis=1) / N
-        worst = sim[:, -1]
-        xr = 2.0 * xbar - worst  # reflection, rho = 1
-        # expansion (chi = 2), outside and inside contraction (psi = 0.5) as
-        # a * xbar - b * worst, rounded as scipy's own expressions
-        trials = _TRIAL_A * xbar - _TRIAL_B * worst
-        here = np.arange(rows.size)
+        if rows.size != stacked:
+            stacked = rows.size
+            here = np.arange(stacked)
+            tiled = np.tile(rows, 4)
+            # column 3 stays True: a row that passes no test contracts inside
+            below = np.ones((stacked, 4), dtype=bool)
+            # row 1 stays 1: the reflection is accepted as it is; integers,
+            # not booleans, so that a row of wins can index _OUTCOME
+            wins = np.ones((4, stacked), dtype=np.uint8)
+        xbar = np.add.reduce(sim[:, :-1], axis=1) / N
+        # expansion (chi = 2), reflection (rho = 1), outside and inside
+        # contraction (psi = 0.5) as a * xbar - b * worst, rounded as scipy's
+        # own expressions
+        trials = _TRIAL_A * xbar - _TRIAL_B * sim[:, -1]
         # every trial point is scored in the reflection's call, which costs
-        # less than a second call on the few-row stack of one fit; nfev
-        # counts only the calls scipy would make
-        scores = f(np.concatenate([xr[None], trials]).reshape(-1, N), np.tile(rows, 4))
-        fxr, ftrials = scores[: rows.size], scores[rows.size :].reshape(3, -1)
+        # less than a second call on the few-row stack of one fit
+        ftrials = f(trials.reshape(-1, N), tiled).reshape(4, -1)
+        fxr = ftrials[1]
         nfev += 1
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
-        trial = np.where(expand, 0, np.where(outside, 1, 2))
-        x2 = trials[trial, here]
-        second = ~accept & (nfev < maxfev)
-        f2 = np.where(second, ftrials[trial, here], np.inf)
+        np.less(fxr[:, None], fsim.take(ranks, axis=1), out=below[:, :3])
+        kind = below.argmax(axis=1)  # 0 expand, 1 accept, 2 and 3 contract
+        # the expansion wins when below the reflection, the outside
+        # contraction when not above it, the inside one when below the worst vertex
+        np.less(ftrials[0], fxr, out=wins[0])
+        np.less_equal(ftrials[2], fxr, out=wins[2])
+        np.less(ftrials[3], fsim[:, -1], out=wins[3])
+        outcome = _OUTCOME[kind, wins[kind, here]]
+        second = kind != 1
         nfev += second
-        # the expansion point wins over the reflection when below it, the
-        # outside contraction is taken when not above the reflection, the
-        # inside one when below the worst vertex; a refused contraction or
-        # one not taken shrinks the simplex toward its best vertex
-        better = np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
-        take = accept | (second & (expand | better))
-        use_xr = accept | (expand & ~better)
-        sim[take, -1] = np.where(use_xr[:, None], xr, x2)[take]
-        fsim[take, -1] = np.where(use_xr, fxr, f2)[take]
-        shrink = second & ~take
+        refused = nfev > maxfev
+        if refused.any():  # a refused call changes nothing
+            nfev[refused] = maxfev
+            outcome[refused] = _REFUSED
+        take = here[outcome < _SHRINK]
+        pick = outcome[take]
+        sim[take, -1] = trials[pick, take]
+        fsim[take, -1] = ftrials[pick, take]
+        shrink = outcome == _SHRINK
         if shrink.any():
             base = sim[shrink, :1]
             pts = base + 0.5 * (sim[shrink, 1:] - base)  # sigma = 0.5
@@ -299,9 +328,9 @@ def _nelder_mead(f, simplexes, maxfev: int, fatol: float, xatol: float):
 
 def _sort_rows(sim, fsim):
     """Order each row's vertices by value, as scipy's per-simplex argsort does."""
-    ind = np.argsort(fsim, axis=1)
-    r = np.arange(len(ind))[:, None]
-    return sim[r, ind], fsim[r, ind]
+    ind = fsim.argsort(axis=1)
+    ind += np.arange(0, ind.size, ind.shape[1])[:, None]  # into the flattened stack
+    return sim.reshape(-1, sim.shape[2]).take(ind, axis=0), fsim.take(ind)
 
 
 def min_distance_fits(
@@ -335,11 +364,11 @@ def min_distance_fits(
                 origin.append(name)
                 z0.append(_encode(pp))
     owner = np.array(owner)
-    targets = np.stack([phat.probs for phat in phats])
+    targets = np.stack([phat.probs for phat in phats])[owner]  # one per start
     z0 = np.stack(z0)
     simplexes = np.concatenate([z0[:, None], z0[:, None] + _SIMPLEX_STEP * np.eye(z0.shape[1])], 1)
     final, _, nfev = _nelder_mead(
-        lambda Z, rows: _objective(Z, targets[owner[rows]], box),
+        lambda Z, rows: _objective(Z, targets.take(rows, axis=0), box),
         simplexes, _MAX_EVALS, _FATOL, _XATOL,
     )
     # each start offers its end point, then its initial point

@@ -398,15 +398,15 @@ def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> np.n
 
 def _phi1_bound(phi2, box: ConstraintBox):
     """Largest |phi1| that the transition inequalities allow at phi2 (elementwise)."""
-    b = np.minimum(1.0 - 2.0 * box.delta / (1.0 - phi2), 2.0 / (1.0 - phi2) - 1.0)
-    return np.maximum(b, 0.0)
+    c = 1.0 - phi2
+    return np.maximum(np.minimum(1.0 - 2.0 * box.delta / c, 2.0 / c - 1.0), 0.0)
 
 
 def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
     """Largest phi3 with nonnegative emissions; phi1 of shape (..., 1) gives (...)."""
     den = phi1 * psi2 + np.abs(psi2)
     ratios = np.divide(2.0 * psi1, den, out=np.full(den.shape, np.inf), where=den > 0.0)
-    return ratios.min(axis=-1)
+    return np.minimum.reduce(ratios, axis=-1)
 
 
 def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:

@@ -118,15 +118,17 @@ def triple_law_theta(theta: ThetaParams) -> TripleLaw:
 def moment_tensor(m1, m2, m3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """psi1^3 + m1 (psi2 psi2 psi1 + psi1 psi2 psi2) + m2 psi2 psi1 psi2 - m3 psi2^3, the
     one builder of the expansion; m arrays of shape ``(..., 1, 1, 1)``, with psi
-    of shape ``(K,)`` or ``(..., K)``, give a stack."""
-    a, b = psi1, psi2
-    outer = "...a,...b,...c->...abc"
-    return (
-        np.einsum(outer, a, a, a)
-        + m1 * (np.einsum(outer, b, b, a) + np.einsum(outer, a, b, b))
-        + m2 * np.einsum(outer, b, a, b)
-        - m3 * np.einsum(outer, b, b, b)
-    )
+    of shape ``(K,)`` or ``(..., K)``, give a stack.
+
+    Each term is ``(x_i y_j) z_k`` from shared pair products, rounded as
+    ``np.einsum("...a,...b,...c->...abc", x, y, z)`` rounds it.
+    """
+    a, b = np.asarray(psi1), np.asarray(psi2)
+    ai, bi, aj, bj = a[..., :, None], b[..., :, None], a[..., None, :], b[..., None, :]
+    aa, ab, bb = (ai * aj)[..., None], (ai * bj)[..., None], (bi * bj)[..., None]
+    ak, bk = aj[..., None, :], bj[..., None, :]
+    ba = ab.swapaxes(-3, -2)  # b_i a_j, the same bits as a_j b_i
+    return aa * ak + m1 * (bb * ak + ab * bk) + m2 * (ba * bk) - m3 * (bb * bk)
 
 
 def triple_tensor(phi1, phi2, phi3, psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ The first form prints one JSON line per fit (box, truth, n, objective,
 its objective from the same fit in FILE, and then how many fits are worse,
 better or the same at 1e-9 relative, how many objectives are bit-identical,
 and whether ``converged``, ``starts``, ``best_start`` and ``nfev`` agree
-everywhere; it exits 1 when one of those four differs in some fit.
+everywhere; it exits 1 when one of those four differs in some fit or some
+objective is not bit-identical.
 The file name keeps pytest from collecting it.
 """
 
@@ -101,7 +102,7 @@ def main(argv=None) -> int:
             f" {', '.join(FLAGS)} {verdict}",
             file=sys.stderr,
         )
-    return 1 if differ else 0
+    return 1 if differ or (ref is not None and identical < worse + better + same) else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hmm_frontier import ThetaParams, estimate_theta, theta_to_phipsi
-from hmm_frontier.cli import cli_main
+from hmm_frontier.cli import build_parser, cli_main
 from hmm_frontier.params import fallback_direction
 
 from test_experiments import count_calls
@@ -164,6 +164,22 @@ class TestConfigAndErrors:
         assert without_wall_ms(by_flags) != switch_off
         assert without_wall_ms(run(capsys, *sweep, "--config", on)) == without_wall_ms(by_flags)
         assert without_wall_ms(run(capsys, *sweep, "--config", off)) == switch_off
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    import hmm_frontier.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "simulate", "--n", "2")[0] == 0
+        assert run(capsys, "simulate", "--n", "3", "--seed", "-1")[0] == 1
+        assert run(capsys, "bogus")[0] == 1
+        assert run(capsys, "simulate", "--n", "2")[1].count("\n") == 3
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def write(tmp_path, name, text):

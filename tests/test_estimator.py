@@ -166,6 +166,37 @@ class TestLockstepNelderMead:
         if maxfev < 400:
             assert (nfev == maxfev).all()
 
+    @pytest.mark.parametrize("maxfev", [300, 2000])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_k4_objective_matches_scipy(self, rows, maxfev):
+        """The fit bank's thin K=4 box; one row leaves a stack of one empty."""
+        box = ConstraintBox(delta=0.02, epsilon=0.05, zeta=0.05, L=0.3, K=4)
+        rng = np.random.default_rng([rows, maxfev])
+        truths = [sample_phipsi(box, [78, i]) for i in range(rows)]
+        targets = np.stack([
+            triple_law_phipsi(t).probs * rng.uniform(0.99, 1.01, (4, 4, 4)) for t in truths
+        ])
+
+        def f(points, rows):
+            return _objective(points, targets[rows], box)
+
+        z0 = rng.normal(0.0, 0.7, (rows, 11))
+        _, nfev = assert_rows_match_scipy(f, simplexes_at(z0, [0.05] * rows), maxfev)
+        assert (nfev <= maxfev).all()
+
+    def test_value_tolerance_stops_as_scipy_does(self):
+        """Steep bowls: the vertices meet xatol before their values meet
+        fatol, so the spread of the values decides when a row stops."""
+        scale = np.array([1e9, 1e10, 3e10])
+
+        def f(points, rows):
+            return scale[rows] * np.add.reduce((points - 0.3) ** 2, axis=1)
+
+        simplexes = simplexes_at(np.random.default_rng(3).normal(size=(3, 3)), [0.5] * 3)
+        fsim, nfev = assert_rows_match_scipy(f, simplexes, 2000)
+        assert (nfev < 2000).all()
+        assert (fsim[:, -1] - fsim[:, 0] > _FATOL / 10).all()
+
     def test_budget_ends_inside_a_step_as_scipy_does(self):
         """A flat row shrinks every step (2 + N calls) and a descending linear
         row expands every step (2 calls), so these budgets run out in the

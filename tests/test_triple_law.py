@@ -18,7 +18,7 @@ from hmm_frontier import (
     triple_law_theta,
 )
 from hmm_frontier.params import PhiPsiParams, sample_members
-from hmm_frontier.triple_law import _rho_stack
+from hmm_frontier.triple_law import _rho_stack, moment_tensor
 
 from test_params import random_theta, worked_theta
 
@@ -111,6 +111,36 @@ class TestTripleLaw:
         a = triple_law_phipsi(pp)
         b = triple_law_phipsi(switch_labels(pp))
         assert np.abs(a.probs - b.probs).max() <= 1e-14
+
+
+def einsum_moment_tensor(m1, m2, m3, psi1, psi2):
+    """The reference: the expansion as five ``np.einsum`` outer products."""
+    a, b = psi1, psi2
+    outer = "...a,...b,...c->...abc"
+    return (
+        np.einsum(outer, a, a, a)
+        + m1 * (np.einsum(outer, b, b, a) + np.einsum(outer, a, b, b))
+        + m2 * np.einsum(outer, b, a, b)
+        - m3 * np.einsum(outer, b, b, b)
+    )
+
+
+class TestMomentTensor:
+    @pytest.mark.parametrize("rows", [None, 1, 6, 24, 1440], ids=lambda r: f"rows={r}")
+    @pytest.mark.parametrize("K", [2, 3, 4, 8])
+    def test_equals_the_einsum_expansion_bit_for_bit(self, K, rows):
+        rng = np.random.default_rng([K, rows or 0])
+        shape = () if rows is None else (rows,)
+        psi1 = rng.dirichlet(np.ones(K), size=shape or None)
+        psi2 = rng.normal(size=shape + (K,))
+        # one point also takes a stack of m, as the grid floor gives it
+        stack = shape or (5,)
+        scalar_m = tuple(map(float, rng.normal(0.0, 0.1, 3)))
+        for m in (scalar_m, rng.normal(0.0, 0.1, (3, *stack, 1, 1, 1))):
+            got = moment_tensor(*m, psi1, psi2)
+            ref = einsum_moment_tensor(*m, psi1, psi2)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref)
 
 
 class TestRho:
