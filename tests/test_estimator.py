@@ -167,12 +167,12 @@ class TestLockstepNelderMead:
             assert (nfev == maxfev).all()
 
     @pytest.mark.parametrize("maxfev", [300, 2000])
-    @pytest.mark.parametrize("rows", [1, 5])
-    def test_k4_objective_matches_scipy(self, rows, maxfev):
-        """The fit bank's thin K=4 box; one row leaves a stack of one empty."""
+    @pytest.mark.parametrize("starts", [1, 5])
+    def test_k4_objective_matches_scipy(self, starts, maxfev):
+        """The fit bank's thin K=4 box; one start leaves a stack of one empty."""
         box = ConstraintBox(delta=0.02, epsilon=0.05, zeta=0.05, L=0.3, K=4)
-        rng = np.random.default_rng([rows, maxfev])
-        truths = [sample_phipsi(box, [78, i]) for i in range(rows)]
+        rng = np.random.default_rng([starts, maxfev])
+        truths = [sample_phipsi(box, [78, i]) for i in range(starts)]
         targets = np.stack([
             triple_law_phipsi(t).probs * rng.uniform(0.99, 1.01, (4, 4, 4)) for t in truths
         ])
@@ -180,8 +180,8 @@ class TestLockstepNelderMead:
         def f(points, rows):
             return _objective(points, targets[rows], box)
 
-        z0 = rng.normal(0.0, 0.7, (rows, 11))
-        _, nfev = assert_rows_match_scipy(f, simplexes_at(z0, [0.05] * rows), maxfev)
+        z0 = rng.normal(0.0, 0.7, (starts, 11))
+        _, nfev = assert_rows_match_scipy(f, simplexes_at(z0, [0.05] * starts), maxfev)
         assert (nfev <= maxfev).all()
 
     def test_value_tolerance_stops_as_scipy_does(self):
