@@ -6,7 +6,6 @@ rate experiments locating the learnability frontier.
 """
 
 from .errors import (
-    ConstraintViolationError,
     DegenerateChainError,
     DegenerateFitError,
     DegenerateProbeError,

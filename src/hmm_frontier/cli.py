@@ -358,8 +358,6 @@ def _run(args) -> None:
                 "test_error": probe.test_error,
             },
         )
-    else:
-        raise _UsageError("missing subcommand")
 
 
 def cli_main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Semantic exception hierarchy for the package.
 
-Every failure mode that callers may want to branch on gets its own class;
-plain ``ValueError`` is reserved for programming errors.
+Every failure mode that callers may want to branch on gets its own class,
+raised by the one check that owns its rule; plain ``ValueError`` is
+reserved for programming errors.
 """
 
 from __future__ import annotations
@@ -13,17 +14,6 @@ class FrontierError(Exception):
 
 class ValidationError(FrontierError):
     """Input violates a type invariant (bad density, bad range, NaN, ...)."""
-
-
-class ConstraintViolationError(FrontierError):
-    """A derived quantity left its feasible region.
-
-    Carries the offending coordinate index when one exists.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
 
 
 class DegenerateChainError(FrontierError):

@@ -137,12 +137,12 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
     resid = pn - moment_tensor(m1, m2, 0.0, psi1, v)
     m3 = -float(np.einsum("abc,a,b,c->", resid, v, v, v))
 
-    if abs(m1) < 1e-10 or m2 <= 0.0:
-        return _box_center(box, psi1), True
-    try:
-        pp = _project(*phi_of_m(MomentVector(m1=m1, m2=m2, m3=m3)), psi1, v, box)
-    except NonInvertibleMomentError:
-        pp = None
+    pp = None
+    if abs(m1) >= 1e-10:
+        try:
+            pp = _project(*phi_of_m(MomentVector(m1=m1, m2=m2, m3=m3)), psi1, v, box)
+        except NonInvertibleMomentError:
+            pass
     if pp is None:
         return _box_center(box, psi1), True
     return pp, False

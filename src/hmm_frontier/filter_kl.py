@@ -59,10 +59,13 @@ _SCAN_ROW_CUT = 256
 
 
 def increasing_grid(values, name: str) -> tuple:
-    """``values`` as a tuple of ints; ValidationError unless nonempty and strictly increasing."""
+    """``values`` as a tuple of sizes; ValidationError unless nonempty, strictly
+    increasing and positive, so a bad grid is refused before any work."""
     grid = tuple(int(v) for v in values)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be nonempty and strictly increasing")
+    if grid[0] < 1:
+        raise ValidationError(f"{name} must hold positive sizes: {grid[0]}")
     return grid
 
 
@@ -153,7 +156,7 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     trajectory of V (None unless ``keep_v``).
     """
     cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
-    if cps and not 1 <= cps[0] <= cps[-1] <= y.shape[1]:
+    if cps and cps[-1] > y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     coef = _coefficients(pps)
     n = y.shape[1]

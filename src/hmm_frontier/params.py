@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConstraintViolationError,
     DegenerateChainError,
     NoMemberError,
     SamplerExhaustedError,
@@ -299,24 +298,13 @@ def theta_to_phipsi(theta: ThetaParams) -> PhiPsiParams:
 
 
 def phipsi_to_theta(pp: PhiPsiParams) -> ThetaParams:
-    """Inverse change of variables.
-
-    Raises ConstraintViolationError (with the offending index) if the
-    reconstructed emissions have an entry below -1e-12.
-    """
+    """Inverse change of variables; ``ThetaParams`` refuses an emission entry
+    below -1e-12 and clips the rest to nonnegative."""
     p = 0.5 * (1.0 - pp.phi2) * (1.0 - pp.phi1)
     q = 0.5 * (1.0 - pp.phi2) * (1.0 + pp.phi1)
     half = 0.5 * pp.phi3 * pp.psi2
     center = pp.psi1 - pp.phi1 * half
-    f0 = center + half
-    f1 = center - half
-    for name, f in (("f0", f0), ("f1", f1)):
-        k = int(np.argmin(f))
-        if f[k] < -DENSITY_TOL:
-            raise ConstraintViolationError(
-                f"{name}[{k}] = {f[k]:.3e} is negative", index=k
-            )
-    return ThetaParams(p=p, q=q, f0=np.clip(f0, 0.0, None), f1=np.clip(f1, 0.0, None))
+    return ThetaParams(p=p, q=q, f0=center + half, f1=center - half)
 
 
 def switch_labels(pp: PhiPsiParams) -> PhiPsiParams:

@@ -89,9 +89,8 @@ def sample_path(theta: ThetaParams, n: int, seed) -> PathSample:
 
 
 # Uniforms per draw: a transition draw takes max(1, _DRAW_BLOCK // count) steps
-# of every path, an emission draw max(1, _DRAW_BLOCK // n) whole paths, or one
-# path's next _DRAW_BLOCK steps when a path is longer.  The budget bounds the
-# temporaries; the stream order does not depend on it.
+# of every path, an emission draw the next _DRAW_BLOCK symbols in path-major
+# order.  The budget bounds the temporaries; the stream order does not depend on it.
 _DRAW_BLOCK = 1 << 18
 
 
@@ -130,16 +129,14 @@ def sample_paths(
     states = observed.astype(np.uint8) if hidden else None
     # inner thresholds only: u < 1 never reaches the last cdf entry
     thresholds = np.vstack([np.cumsum(theta.f0), np.cumsum(theta.f1)])[:, :-1]
-    rows, cols = max(1, _DRAW_BLOCK // n), min(n, _DRAW_BLOCK)
-    # cols < n only when rows == 1, so the blocks follow the path-major stream
-    for r0 in range(0, count, rows):
-        for c0 in range(0, n, cols):
-            y = observed[r0:r0 + rows, c0:c0 + cols]
-            h = y.copy()  # the block's states, which y.fill(1) erases
-            u = rng.random(h.shape)
-            y.fill(1)
-            for t in thresholds.T:
-                y += u >= t[h]
+    flat = observed.reshape(-1)  # a view whose order is the emission stream's
+    for i in range(0, flat.size, _DRAW_BLOCK):
+        y = flat[i:i + _DRAW_BLOCK]
+        h = y.copy()  # the block's states, which y.fill(1) erases
+        u = rng.random(h.size)
+        y.fill(1)
+        for t in thresholds.T:
+            y += u >= t[h]
     return PathSample(hidden=states, observed=observed)
 
 

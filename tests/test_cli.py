@@ -267,6 +267,18 @@ BAD_INPUTS = {
         "estimate", "--input", write(d, "obs.txt", "1\n2\n3\n2\n1\n" * 40), "--starts", "-1",
     ],
     "zero-replicas": lambda d: ["rate-sweep", "--replicas", "0"],
+    "negative-sweep-size": lambda d: ["rate-sweep", "--n-grid=-1,1000"],
+    "zero-kl-size": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", native_params(d),
+        "--n-grid=0,100",
+    ],
+    "negative-simulate-n": lambda d: ["simulate", "--n=-1"],
+    "zero-pairs": lambda d: ["equiv-probe", "--pairs", "0"],
+    "zero-lb-pair-n": lambda d: ["lb-pair", "--n", "0"],
+    "box-delta-above-1": lambda d: ["equiv-probe", "--delta", "1.5"],
+    "box-zeta-zero": lambda d: ["equiv-probe", "--zeta", "0"],
+    "box-L-zero": lambda d: ["equiv-probe", "--L", "0"],
+    "box-k-1": lambda d: ["equiv-probe", "--k", "1"],
     "lb-pair-nan-c": lambda d: ["lb-pair", "--c", "nan"],
     "threshold-probe-nan-c": lambda d: ["threshold-probe", "--c", "nan"],
     **{
@@ -304,6 +316,8 @@ def test_bad_input_is_a_named_error(capsys, tmp_path, case):
         assert "argument --target" in err
     if case == "params-a-nan-phi":
         assert "params-a.json: phi1 must lie in [-1, 1]: phi1=nan" in err
+    if case == "negative-sweep-size":
+        assert lines == ["error: n_grid must hold positive sizes: -1"]
 
 
 @pytest.mark.parametrize(

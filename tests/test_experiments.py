@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import sys
 
@@ -25,6 +27,7 @@ from hmm_frontier import (
     threshold_probe,
     validate_phipsi,
 )
+from hmm_frontier import experiments
 from hmm_frontier.experiments import PAIR_KINDS, sweep_rows_to_csv, SWEEP_COLUMNS
 
 
@@ -210,6 +213,43 @@ class TestRateSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ValidationError):
             rate_sweep(self.box(), (1000, 500), 1, 1)
+
+    @pytest.mark.parametrize("n_grid", [(-1, 1000), (0, 1000)])
+    def test_grid_must_be_positive(self, monkeypatch, n_grid):
+        sampled = count_calls(monkeypatch, "sample_paths")
+        with pytest.raises(ValidationError, match=f"n_grid must hold positive sizes: {n_grid[0]}"):
+            rate_sweep(self.box(), n_grid, 1, 1)
+        assert sampled == []
+
+    def test_failed_row_fills_the_error_column(self, monkeypatch):
+        calls = []
+
+        def failing_at_second_n(phat, box):
+            calls.append(phat)
+            if len(calls) == 2:
+                raise ValidationError("no feasible candidate found")
+            return min_distance_fit(phat, box)
+
+        monkeypatch.setattr(experiments, "min_distance_fit", failing_at_second_n)
+        good, bad = rate_sweep(self.box(), (500, 1000), 1, 7)
+        assert (good["n"], bad["n"]) == (500, 1000)
+        assert good["error"] == ""
+        assert all(math.isfinite(good[col]) for col in SWEEP_COLUMNS[8:16])
+        assert bad["error"] == "ValidationError: no feasible candidate found"
+        assert all(math.isnan(bad[col]) for col in SWEEP_COLUMNS[8:16])
+        assert bad["wall_ms"] >= 0.0
+
+        written = list(csv.DictReader(io.StringIO(sweep_rows_to_csv([good, bad]))))
+        assert written[1]["error"] == bad["error"]
+        assert all(written[1][col] == "nan" for col in SWEEP_COLUMNS[8:16])
+
+        # the failed row is skipped: alone it leaves one usable size, and
+        # beside a fitted row at its n it does not move that n's median
+        with pytest.raises(DegenerateFitError, match="got 1"):
+            slope_fit([good, bad], "loss_phi2")
+        half = {"n": 1000, "loss_phi2": 0.5 * good["loss_phi2"]}
+        slope, _, _ = slope_fit([good, bad, half], "loss_phi2")
+        assert slope == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestSlopeFit:

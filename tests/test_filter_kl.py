@@ -127,6 +127,18 @@ class TestVRecursion:
         np.testing.assert_allclose(tr.v, 0.0, atol=1e-15)
         assert tr.loglik == pytest.approx(float(np.log(pp.psi1[y - 1]).sum()), abs=1e-9)
 
+    def test_degenerate_point_is_iid(self):
+        # f0 == f1: phi3 = 0, so V stays 0 and the filter is the stationary law
+        f = np.array([0.5, 0.3, 0.2])
+        th = ThetaParams(p=0.3, q=0.6, f0=f, f1=f)
+        pp = theta_to_phipsi(th)
+        assert pp.degenerate and pp.phi3 == 0.0
+        y = sample_path(th, 200, 6).observed
+        tr = v_recursion(pp, y)
+        assert tr.loglik == pytest.approx(forward_filter(th, y).loglik, abs=1e-10)
+        assert tr.loglik == pytest.approx(float(np.log(f[y - 1]).sum()), abs=1e-10)
+        np.testing.assert_array_equal(tr.predfilter, np.full(y.size, 0.5 * (1.0 - pp.phi1)))
+
     def test_worked_first_step(self):
         pp = theta_to_phipsi(worked_theta())
         tr = v_recursion(pp, [1])
@@ -448,6 +460,15 @@ class TestKL:
         pp = theta_to_phipsi(worked_theta())
         with pytest.raises(ValidationError):
             kl_estimate(pp, pp, n_grid, 10, 1)
+
+    def test_nonpositive_length_refused_before_sampling(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise AssertionError("sample_paths called")
+
+        monkeypatch.setattr(filter_kl, "sample_paths", failing)
+        a = theta_to_phipsi(worked_theta())
+        with pytest.raises(ValidationError, match="n_grid must hold positive sizes: 0"):
+            llr_paths(a, a, a, [0, 10], 4, 1)
 
     def test_rho_bound_arithmetic(self):
         pp = theta_to_phipsi(worked_theta())
