@@ -15,14 +15,12 @@ The exact likelihood is computed two independent ways:
 
 Each step is a linear-fractional map of V, so a run of steps composes into
 one 2 x 2 map.  A path set of fewer than ``_SCAN_ROW_CUT`` rows is cut along
-time into blocks of ``_SCAN_BLOCK`` steps, scanned side by side in two
-passes: the first composes each block's map, the maps are chained to give
-every block its exact entry V, and the second reruns the step update from
-those entries.  That makes about 2 * ``_SCAN_BLOCK`` Python iterations
-instead of n, and sums the log densities block by block.  With one block
-(n <= ``_SCAN_BLOCK``, or at least ``_SCAN_ROW_CUT`` rows, where numpy's
-work per step already dominates its call overhead) the scan is the plain
-step loop.
+time into blocks of ``_SCAN_BLOCK`` steps, run side by side from V = 0 in
+one pass that composes each block's map and sums its log densities.  The
+maps are chained to give every block its exact entry V, and one log per
+block corrects its sum, so a long path costs about ``_SCAN_BLOCK`` Python
+steps instead of n.  With one block (n <= ``_SCAN_BLOCK``, at least
+``_SCAN_ROW_CUT`` rows, or a V trajectory kept) the scan is the step loop.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -51,11 +49,11 @@ from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
 # Time blocks of the V scan (module docstring).  At _SCAN_ROW_CUT rows or more
-# a step is already vector-bound and blocking only adds work (H=2, R=500,
-# n=5e4: 1.9 s in one block, 2.4 s in blocks).  Neither constant is part of
-# the seed contract.
+# a step is already vector-bound and blocking only adds work (H=2, n=1e4:
+# blocks take 0.91 of one block's time at R=500, 1.26 at R=1000).  Neither
+# constant is part of the seed contract.
 _SCAN_BLOCK = 2048
-_SCAN_ROW_CUT = 256
+_SCAN_ROW_CUT = 512
 
 
 def increasing_grid(values, name: str) -> tuple:
@@ -151,29 +149,76 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     integer dtype: each step's ``symbol - 1`` indexes the tables in that
     dtype, so a uint8 matrix is never widened.  Fewer than
     ``_SCAN_ROW_CUT`` rows of more than ``_SCAN_BLOCK`` steps run in blocks
-    of ``_SCAN_BLOCK`` steps; otherwise the whole path is one block.  Returns the H x R log-likelihoods, the
-    H x R x len(checkpoints) prefix log-likelihoods and the H x R x n
-    trajectory of V (None unless ``keep_v``).
+    of ``_SCAN_BLOCK`` steps, one pass of about ``_SCAN_BLOCK`` Python steps;
+    otherwise, and always with ``keep_v``, the whole path is one block.
+    Returns the H x R log-likelihoods, the H x R x len(checkpoints) prefix
+    log-likelihoods and the H x R x n trajectory of V (None unless
+    ``keep_v``).
     """
     cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
     if cps and cps[-1] > y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     coef = _coefficients(pps)
     n = y.shape[1]
-    length = _SCAN_BLOCK if y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK else n
-    return _block_scan(coef, y, length, cps, keep_v)
+    blocked = y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK and not keep_v
+    return _block_scan(coef, y, _SCAN_BLOCK if blocked else n, cps, keep_v)
 
 
 def _block_scan(coef, y, length, cps=(), keep_v=False):
     """``_v_scan`` with time cut into blocks of ``length`` steps (the last may be shorter).
 
-    Pass 1 composes each block's steps into one 2 x 2 matrix of the
-    linear-fractional map, the maps are chained to give each block its exact
-    entry V (block 0 enters at V_0 = 0, the stationary filter), and pass 2
-    reruns the step update from those entries, so the positivity check sees
-    every step.  Each block sums its own log densities; the block sums are
-    added left to right.  With one block this is the plain step loop, bit
-    for bit.
+    The blocks' maps from ``_compose`` are chained to give each block its
+    exact entry V_e (block 0 enters at V_0 = 0, the stationary filter).  The
+    product of a block's densities is the lower row of its unnormalized
+    product applied to (V_e, 1), so its log-likelihood is its sum from V = 0
+    plus log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at
+    its step.  The block log-likelihoods are added left to right.  With one
+    block this is the plain step loop, bit for bit.  If a density from V = 0
+    or an entry correction is not positive and finite, the failing prefix
+    is rescanned in one block: the step loop raises at its first bad step,
+    and if none is bad the whole path is scored so.
+    """
+    rows, n = y.shape
+    h, blocks = coef.shape[1], -(-n // length)
+    try:
+        (total, m00, m01, m10), at, trace = _compose(coef, y, length, cps, keep_v)
+        if blocks == 1:
+            return total[:, 0], at[0].transpose(0, 2, 1), trace
+        ve = np.zeros((h, blocks, rows))
+        for j in range(1, blocks):
+            u = ve[:, j - 1]
+            ve[:, j] = (m00[:, j - 1] * u + m01[:, j - 1]) / (m10[:, j - 1] * u + 1.0)
+        # the entry corrections at the blocks' ends, then at the checkpoints
+        js = [(cp - 1) // length for cp in cps]
+        corr = np.concatenate((m10, at[1]), axis=1) * ve[:, list(range(blocks)) + js] + 1.0
+        bad = ~((corr > 0.0) & (corr < np.inf)).all(axis=(0, 2))  # a NaN V_e fails too
+        if bad.any():
+            stops = [min(n, (j + 1) * length) for j in range(blocks)] + list(cps)
+            step = min(stop for stop, failed in zip(stops, bad) if failed)
+            raise NumericalDegeneracyError(f"an entry correction fails by step {step}", step=step)
+    except NumericalDegeneracyError as err:
+        if blocks == 1:
+            raise
+        _block_scan(coef, y[:, : err.step], err.step)
+        return _block_scan(coef, y, n, cps)
+    ll = np.concatenate((total, at[0]), axis=1) + np.log(corr)
+    sums = np.cumsum(ll[:, :blocks], axis=1)
+    before = np.concatenate((np.zeros((h, 1, rows)), sums[:, :-1]), axis=1)
+    return sums[:, -1], (ll[:, blocks:] + before[:, js]).transpose(0, 2, 1), trace
+
+
+def _compose(coef, y, length, cps=(), keep_v=False):
+    """The step loop: every block of ``length`` steps side by side, each from V = 0.
+
+    Entry (i, j) of the product of a block's step matrices [[alpha, beta],
+    [gamma, delta]] shrinks like the product of its densities, so each step
+    divides it by its (1, 1) entry den = delta + gamma m01, the density of the
+    block's path from V = 0.  That entry is then exactly 1 and is not stored,
+    and m01 is that path's V, updated by the step loop's own expressions.
+    Each step checks den > 0 and adds its log into the block's sum.  Returns
+    the sums, m00, m01 and m10 (1 and 0 with one block, which needs neither)
+    as one 4 x H x blocks x R array, the sums and m10 at the checkpoints
+    (2 x H x len(cps) x R), and the V trajectory (one block; None unless ``keep_v``).
     """
     rows, n = y.shape
     full, rem = divmod(n, length)
@@ -181,92 +226,45 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
     # a view, block-major like the state below: y is never copied
     ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
     h = coef.shape[1]
-    m00, m01, m10 = _compose(coef, ys[: blocks - 1])
     # The state is H x (blocks * R), block-major, so the blocks still running
     # are a prefix of the columns and every step works on 2-D arrays.
-    v = np.zeros((h, blocks * rows))
-    for j in range(1, blocks):
-        part = slice((j - 1) * rows, j * rows)
-        u = v[:, part]
-        v[:, j * rows : (j + 1) * rows] = (m00[:, part] * u + m01[:, part]) / (
-            m10[:, part] * u + 1.0
-        )
-    # Pass 2: the step update in every block from its entry V; a shorter last
-    # block drops out after its ``rem`` steps.
-    total = np.zeros(v.shape)
+    state = np.zeros((4, h, blocks * rows))  # the sums, m00, m01 and m10
+    state[1] = 1.0
+    at = np.zeros((2, h, len(cps), rows))
     trace = np.empty((h, rows, n)) if keep_v else None
-    prefix = np.empty((h, rows, len(cps)))
-    reads = {}  # in-block step -> (checkpoint index, block) read after it
+    reads = {}  # in-block step -> (checkpoint index, its block's columns) read after it
     for ci, cp in enumerate(cps):
         j, k = divmod(cp - 1, length)
-        reads.setdefault(k, []).append((ci, j))
+        reads.setdefault(k, []).append((ci, slice(j * rows, (j + 1) * rows)))
+    # a shorter last block drops out after its ``rem`` steps
     for live, steps in ((blocks, range(rem)), (full, range(rem, length))):
-        u, run = v[:, : live * rows], total[:, : live * rows]
+        run, a, v, c = state[:, :, : live * rows]
         for k in steps:
-            sym = (
-                ys[:, :, k] if live == full else np.concatenate((ys[:, :, k], y[None, :, tail + k]))
-            )
-            alpha, beta, gamma, delta = np.take(
-                coef, np.subtract(sym, 1, order="C").ravel(), axis=2
-            )
-            den = delta + gamma * u
-            if not (den > 0.0).all():  # a NaN density fails too
-                _degenerate(coef, y, length, rows, k, den)
+            sym = ys[:, :, k] if live == full else np.vstack((ys[:, :, k], y[:, tail + k]))
+            idx = np.subtract(sym, 1, order="C").ravel()
+            alpha, beta, gamma, delta = np.take(coef, idx, axis=2)
+            den = delta + gamma * v
+            if not den.min() > 0.0:  # a NaN density fails too
+                bad = ~(den > 0.0).reshape(h, live, rows)
+                j = int(np.argmax(bad.any(axis=(0, 2))))
+                first, step = den.reshape(h, live, rows)[:, j][bad[:, j]][0], j * length + k + 1
+                msg = f"predictive density {first} is not positive at step {step}"
+                raise NumericalDegeneracyError(msg, step=step)
             run += np.log(np.maximum(den, LOG_FLOOR))
-            np.divide(alpha * u + beta, den, out=u)
+            if blocks > 1:
+                top = alpha * a + beta * c
+                c *= delta
+                c += gamma * a
+                c /= den
+                np.divide(top, den, out=a)
+            v *= alpha
+            v += beta
+            v /= den
             if keep_v:
-                by_time = u.reshape(h, live, rows).transpose(0, 2, 1)
-                trace[:, :, k : live * length : length] = by_time
-            for ci, j in reads.get(k, ()):
-                prefix[:, :, ci] = total[:, j * rows : (j + 1) * rows]
-    sums = np.cumsum(total.reshape(h, blocks, rows), axis=1)
-    for ci, cp in enumerate(cps):
-        j = (cp - 1) // length
-        if j:
-            prefix[:, :, ci] += sums[:, j - 1]
-    return sums[:, -1], prefix, trace
-
-
-def _compose(coef, ys):
-    """Pass 1: each block's steps composed into one 2 x 2 matrix of the map.
-
-    ``ys`` is the blocks x R x length symbol array.  Entry (i, j) of the
-    product of the steps' matrices [[alpha, beta], [gamma, delta]] shrinks
-    like the product of the predictive densities, so each step divides the
-    product by its (1, 1) entry, the density of the block's path entering at
-    V = 0.  That entry is then exactly 1, so it is not stored: the step uses
-    1 in its place.  Returns the other three entries, each H x (blocks * R).
-    """
-    m00 = np.ones((coef.shape[1], ys.shape[0] * ys.shape[1]))
-    m01, m10 = np.zeros(m00.shape), np.zeros(m00.shape)
-    for k in range(ys.shape[2] if len(ys) else 0):
-        idx = np.subtract(ys[:, :, k], 1, order="C").ravel()
-        alpha, beta, gamma, delta = np.take(coef, idx, axis=2)
-        den = gamma * m01 + delta
-        top = alpha * m00 + beta * m10
-        m10 *= delta
-        m10 += gamma * m00
-        m10 /= den
-        m01 *= alpha
-        m01 += beta
-        m01 /= den
-        top /= den
-        m00 = top
-    return m00, m01, m10
-
-
-def _degenerate(coef, y, length, rows, k, den):
-    """Raise NumericalDegeneracyError at the first bad step; step ``k`` of some block was bad."""
-    bad = ~(den > 0.0)
-    j = int(np.argmax(bad.reshape(bad.shape[0], -1, rows).any(axis=(0, 2))))
-    if j:
-        # a failure in an earlier block comes first: rescan those blocks in order
-        _block_scan(coef, y[:, : j * length], j * length)
-    step = j * length + k + 1
-    first = den[:, j * rows : (j + 1) * rows][bad[:, j * rows : (j + 1) * rows]][0]
-    raise NumericalDegeneracyError(
-        f"predictive density {first} is not positive at step {step}", step=step
-    )
+                trace[:, :, k] = v
+            for ci, part in reads.get(k, ()):
+                at[:, :, ci] = state[[0, 3], :, part]
+    return state.reshape(4, h, blocks, rows), at, trace
 
 
 def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:

@@ -27,7 +27,7 @@ from hmm_frontier import (
     threshold_probe,
     validate_phipsi,
 )
-from hmm_frontier import experiments
+from hmm_frontier import experiments, filter_kl
 from hmm_frontier.experiments import PAIR_KINDS, sweep_rows_to_csv, SWEEP_COLUMNS
 
 
@@ -304,6 +304,26 @@ class TestThresholdProbe:
         assert probe.rho_ab * math.sqrt(10**4) == pytest.approx(1.0, rel=1e-9)
         assert probe.test_error <= 0.3
         assert probe.kl_mean > 0.5
+
+    def test_blocked_ties_are_exact(self, monkeypatch):
+        # a == b: each blocked path is scored twice by the same arithmetic, so
+        # every ratio is exactly 0.0 and the fair coin alone decides
+        n, replicas, seed = 5000, 40, 24
+        assert replicas < filter_kl._SCAN_ROW_CUT and n > filter_kl._SCAN_BLOCK
+        llr_paths, diffs = experiments.llr_paths, []
+
+        def recorded(*args):
+            diffs.append(llr_paths(*args))
+            return diffs[-1]
+
+        monkeypatch.setattr(experiments, "llr_paths", recorded)
+        probe = threshold_probe("phi2", probe_box(), n, 0.0, replicas, seed)
+        assert len(diffs) == 2 and all(np.all(d == 0.0) for d in diffs)
+        coin = np.random.default_rng(derive_seed(seed, 3))
+        under_a, under_b = coin.random(replicas), coin.random(replicas)
+        errors = np.sum(under_a < 0.5) + np.sum(under_b >= 0.5)
+        assert probe.test_error == errors / (2.0 * replicas)
+        assert probe.kl_mean == 0.0 and probe.kl_stderr == 0.0
 
     def test_one_sample_per_hypothesis(self, monkeypatch):
         sampled = count_calls(monkeypatch, "sample_paths")

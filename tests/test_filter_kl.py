@@ -69,8 +69,8 @@ def loop_v_scan(pps, y, checkpoints=(), keep_v=False):
 
 
 def full_compose(coef, ys):
-    """Reference pass 1: the full 2 x 2 product of each block's step matrices,
-    divided every step by its (1, 1) entry."""
+    """Reference composition: the full 2 x 2 product of each block's step
+    matrices, divided every step by its (1, 1) entry."""
     by_column = coef[[0, 2, 1, 3]]  # the steps' columns (alpha, gamma), (beta, delta)
     m = np.zeros((2, 2, coef.shape[1], ys.shape[0] * ys.shape[1]))
     m[0, 0] = m[1, 1] = 1.0
@@ -298,49 +298,56 @@ class TestBlockedScan:
         a, b = scan_pair()
         y = sample_paths(phipsi_to_theta(a), n, R, [17, R, n]).observed
         checkpoints = sorted({1, min(B, n), min(B + 1, n), n})
-        got = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
-        want = loop_v_scan([a, b], y, checkpoints, keep_v=True)
-        for g, w in zip(got, want):
+        got = filter_kl._v_scan([a, b], y, checkpoints)
+        want = loop_v_scan([a, b], y, checkpoints, keep_v=R <= 2)
+        for g, w in zip(got[:2], want[:2]):
             if n <= B or R >= cut:  # one block: the step loop itself
                 np.testing.assert_array_equal(g, w)
             else:
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        if R <= 2:  # keep_v always scans one block
+            for g, w in zip(filter_kl._v_scan([a, b], y, checkpoints, keep_v=True), want):
+                np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize(
         "block, rows, n",
-        [(None, 1, 3 * 2048 + 5), (None, 2, 2 * 2048), (None, 7, 5 * 2048 + 17), (3, 4, 100)],
+        [(2048, 1, 3 * 2048 + 5), (2048, 2, 2 * 2048), (2048, 7, 5 * 2048 + 17), (3, 4, 100)],
         ids=["3B+5", "2B", "5B+17-seven-rows", "tiny-blocks"],
     )
-    def test_three_entries_are_the_full_product(self, block, rows, n, monkeypatch):
+    def test_three_entries_are_the_full_product(self, block, rows, n):
         # the (1, 1) entry is exactly 1 after each division, so carrying the
-        # other three is the same arithmetic: every scan output is bit for bit
-        if block:
-            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+        # other three is the same arithmetic, bit for bit; a shorter last
+        # block stops after its own steps
         a, b = scan_pair()
         y = sample_paths(phipsi_to_theta(a), n, rows, [29, rows, n]).observed
-        checkpoints = [1, n // 2, n]
-        compose, calls = filter_kl._compose, []
-
-        def full(coef, ys):
-            m = full_compose(coef, ys)
-            got = compose(coef, ys)
-            assert np.array_equal(m[1, 1], np.ones(m.shape[2:]))
-            for g, w in zip(got, (m[0, 0], m[0, 1], m[1, 0])):
-                assert np.array_equal(g, w)
-            calls.append(ys.shape)
-            return m[0, 0], m[0, 1], m[1, 0]
-
-        want = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
-        monkeypatch.setattr(filter_kl, "_compose", full)
-        got = filter_kl._v_scan([a, b], y, checkpoints, keep_v=True)
-        B = filter_kl._SCAN_BLOCK
-        assert calls == [(-(-n // B) - 1, rows, B)]
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        coef = filter_kl._coefficients([a, b])
+        entries = filter_kl._compose(coef, y, block)[0][1:]
+        full, rem = divmod(n, block)
+        ys = y[:, : full * block].reshape(rows, full, block).transpose(1, 0, 2)
+        m = full_compose(coef, ys)
+        if rem:
+            m = np.concatenate((m, full_compose(coef, y[None, :, full * block :])), axis=3)
+        assert np.array_equal(m[1, 1], np.ones(m.shape[2:]))
+        for got, want in zip(entries, (m[0, 0], m[0, 1], m[1, 0])):
+            assert np.array_equal(got, want.reshape(2, -(-n // block), rows))
 
     def test_blocks_match_forward_filter(self, monkeypatch):
         monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)  # every path is 100 blocks
-        TestVRecursion().test_matches_forward_filter()
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            th = positive_theta(rng)
+            y = sample_paths(th, 300, 3, int(rng.integers(1 << 31))).observed
+            for row, got in zip(y, loglik_batch(theta_to_phipsi(th), y)):
+                assert abs(forward_filter(th, row).loglik - got) <= 1e-8
+
+    def test_v_recursion_is_one_block(self):
+        # a trajectory is only kept by the step loop: long paths too, bit for bit
+        a, _ = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), 2 * filter_kl._SCAN_BLOCK + 7, 1, 37).observed
+        tr = v_recursion(a, y[0])
+        loglik, _, trace = loop_v_scan([a], y, keep_v=True)
+        assert tr.loglik == loglik[0, 0]
+        assert np.array_equal(tr.v, trace[0, 0])
 
     def test_blocked_prefix_row_is_prefix_estimate(self, monkeypatch):
         # bit for bit: a checkpoint and the prefix alone cut the same blocks
@@ -397,6 +404,49 @@ class TestBlockedScan:
         with pytest.raises(NumericalDegeneracyError, match="at step 8$") as err:
             loglik_batch(list(scan_pair()), y)
         assert err.value.step == 8
+
+    def test_nan_entering_a_block_raises_at_its_first_step(self, monkeypatch):
+        # beta is NaN for symbol 3, seen only at step 3, the last of block 0:
+        # every block's path from V = 0 has positive densities, but block 1
+        # enters at a NaN V, so the recursion first fails at step 4
+        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        coefficients = filter_kl._coefficients
+
+        def nan_for_symbol_3(pps):
+            coef = coefficients(pps).copy()
+            coef[1, :, 2] = np.nan
+            return coef
+
+        monkeypatch.setattr(filter_kl, "_coefficients", nan_for_symbol_3)
+        y = np.ones((2, 14), dtype=np.int64)
+        y[1, 2] = 3
+        with pytest.raises(NumericalDegeneracyError, match="at step 4$") as err:
+            loglik_batch(list(scan_pair()), y)
+        assert err.value.step == 4
+
+    def test_block_failing_alone_falls_back_to_the_step_loop(self, monkeypatch):
+        # symbol 3 (only at step 4, the first of block 1) has delta < 0: the
+        # block's path from V = 0 fails there, the true V_3 does not, and the
+        # path is scored by the step loop instead
+        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        a, _ = scan_pair()
+        y = np.ones((1, 9), dtype=np.int64)
+        y[0, 3] = 3
+        v3 = loop_v_scan([a], y[:, :3], keep_v=True)[2][0, 0, -1]
+        coefficients = filter_kl._coefficients
+
+        def shifted_symbol_3(pps):
+            coef = coefficients(pps).copy()
+            coef[:, :, 2] = [[0.0], [0.5 * v3], [1.0 / v3], [-0.5]]  # V_4 = V_3
+            return coef
+
+        monkeypatch.setattr(filter_kl, "_coefficients", shifted_symbol_3)
+        with pytest.raises(NumericalDegeneracyError, match="at step 4$"):
+            filter_kl._compose(filter_kl._coefficients([a]), y, 3)
+        got = loglik_batch([a], y, [5, 9])
+        want = loop_v_scan([a], y, [5, 9])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestKL:
