@@ -42,6 +42,9 @@ ZERO_TOL = 1e-12
 _MAX_REJECTIONS = 10_000
 # Candidates per block of ``sample_members``: part of the seed contract.
 SAMPLER_BLOCK = 256
+# Most blocks ``sample_members`` checks at once: a round's arrays grow with it,
+# so the cap bounds the sampler's memory.
+_ROUND_BLOCKS = 8
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -58,9 +61,21 @@ def _require(rules) -> None:
             raise ValidationError(message.format(float(shown)))
 
 
+def _row_min(v):
+    """``v.min(axis=-1)``, NaN included.  Stacked rows take it one column at a
+    time: over many short rows numpy's reduction costs far more than K - 1
+    elementwise minima, while one row is cheaper reduced."""
+    if v.ndim < 2:
+        return v.min(axis=-1)
+    low = v[..., 0]
+    for k in range(1, v.shape[-1]):
+        low = np.minimum(low, v[..., k])
+    return low
+
+
 def _density_rules(name: str, v):
     """The rules of a density over rows ``v`` of shape ``(..., K)``, which NaN and +-inf fail."""
-    low = v.min(axis=-1)
+    low = _row_min(v)
     yield f"{name} has a negative or NaN entry: min={{}}", low >= -DENSITY_TOL, low
     total = v.sum(axis=-1)
     yield f"{name} does not sum to 1 (sum={{!r}})", np.abs(total - 1.0) <= DENSITY_TOL, total
@@ -184,7 +199,7 @@ def emission_margin(phi1, phi3, psi1, psi2):
     phi1 = np.asarray(phi1)[..., None]
     phi3 = np.asarray(phi3)[..., None]
     vals = psi1 - 0.5 * phi1 * phi3 * psi2 - 0.5 * phi3 * np.abs(psi2)
-    return vals.min(axis=-1)
+    return _row_min(vals)
 
 
 def _phipsi_rules(phi1, phi2, phi3, psi1, psi2):
@@ -469,6 +484,25 @@ class MemberSample:
         )
 
 
+def _draw_round(rng, box: ConstraintBox, blocks: int):
+    """The coordinates of ``blocks`` blocks of candidates, drawn block after block."""
+    K, B = box.K, SAMPLER_BLOCK
+    b1 = (1.0 - box.delta) / (1.0 + box.delta)
+    alpha = np.ones(K)
+    draws = []
+    for _ in range(blocks):
+        phi1 = rng.uniform(-b1, b1, B)
+        phi2 = rng.uniform(box.epsilon, box.phi2_max, B)
+        phi2 = np.where(rng.random(B) < 0.5, phi2, -phi2)
+        phi3 = rng.uniform(box.zeta, math.sqrt(2.0), B)
+        draws.append((phi1, phi2, phi3, rng.dirichlet(alpha, B), rng.standard_normal((B, K))))
+    phi1, phi2, phi3, psi1, w = (np.concatenate(part) for part in zip(*draws))
+    w -= w.mean(axis=1, keepdims=True)
+    # a row too short to normalize fails the unit-norm check of the caller
+    psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
+    return phi1, phi2, phi3, psi1, psi2
+
+
 def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     """``count`` random members of the box by block rejection sampling, seeded
     and deterministic.
@@ -483,6 +517,12 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     the rules of ``PhiPsiParams`` hold for it; members are taken in draw
     order, so the first m members for any ``count`` >= m are the same.
 
+    Blocks are checked a round at a time: one block first, then as many as
+    the acceptance so far says the rest needs, at most ``_ROUND_BLOCKS``.
+    ``SAMPLER_BLOCK`` is part of the seed contract; like the path sampler's
+    draw budget, the round size is not: any rounds take the same members and
+    ``candidates``, and an exhausted budget names the same member.
+
     Raises NoMemberError on an empty box, and SamplerExhaustedError when one
     member needs more than ``_MAX_REJECTIONS`` candidates.
     """
@@ -490,42 +530,36 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
         raise ValidationError(f"count must be >= 1: {count}")
     exists_witness(box)  # raises NoMemberError on an empty box
     rng = np.random.default_rng(seed)
-    K, B = box.K, SAMPLER_BLOCK
-    b1 = (1.0 - box.delta) / (1.0 + box.delta)
-    alpha = np.ones(K)
-    blocks = []
+    parts = []
     taken = drawn = since = 0  # ``since``: candidates since the last member
+    blocks = 1
     while taken < count:
-        phi1 = rng.uniform(-b1, b1, B)
-        phi2 = rng.uniform(box.epsilon, box.phi2_max, B)
-        phi2 = np.where(rng.random(B) < 0.5, phi2, -phi2)
-        phi3 = rng.uniform(box.zeta, math.sqrt(2.0), B)
-        psi1 = rng.dirichlet(alpha, B)
-        w = rng.standard_normal((B, K))
-        w -= w.mean(axis=1, keepdims=True)
-        # a row too short to normalize fails the unit-norm check below
-        psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
-        ok = (_membership_slacks(phi1, phi2, phi3, psi1, psi2, box) >= 0.0).all(axis=0)
-        ok &= _phipsi_holds(phi1, phi2, phi3, psi1, psi2)
+        coords = _draw_round(rng, box, blocks)
+        n = blocks * SAMPLER_BLOCK
+        ok = (_membership_slacks(*coords, box) >= 0.0).all(axis=0)
+        ok &= _phipsi_holds(*coords)
         pos = np.flatnonzero(ok)[: count - taken]
-        # candidates each member took; without one, the next takes more than since + B
-        needs = np.diff(pos, prepend=-1 - since) if len(pos) else np.array([since + B + 1])
-        over = needs > _MAX_REJECTIONS
+        # candidates each member took, and at least n - pos[-1] for a member still wanted
+        ends = pos if len(pos) == count - taken else np.append(pos, n)
+        over = np.diff(ends, prepend=-1 - since) > _MAX_REJECTIONS
         if over.any():
             raise SamplerExhaustedError(
                 f"member {taken + int(over.argmax())} of {count} needs more than "
                 f"{_MAX_REJECTIONS} candidates: the box has too few members for "
-                f"rejection sampling (K={K})"
+                f"rejection sampling (K={box.K})"
             )
         if len(pos):
-            blocks.append((phi1[pos], phi2[pos], phi3[pos], psi1[pos], psi2[pos]))
+            parts.append(tuple(c[pos] for c in coords))
             taken += len(pos)
-            since = B - 1 - int(pos[-1])
+            since = n - 1 - int(pos[-1])
         else:
-            since += B
-        drawn += B
+            since += n
+        drawn += n
+        # the blocks the rest should take at the acceptance so far, rounded up
+        wanted = -(-(count - taken) * drawn // (taken * SAMPLER_BLOCK)) if taken else _ROUND_BLOCKS
+        blocks = min(max(wanted, 1), _ROUND_BLOCKS)
     return MemberSample(
-        *(np.concatenate(part) for part in zip(*blocks)), candidates=drawn - since
+        *(np.concatenate(part) for part in zip(*parts)), candidates=drawn - since
     )
 
 

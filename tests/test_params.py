@@ -26,6 +26,7 @@ from hmm_frontier.params import (
     SAMPLER_BLOCK,
     _membership_slacks,
     _phipsi_holds,
+    _row_min,
     box_member,
     exists_witness,
     fallback_direction,
@@ -309,6 +310,117 @@ def scalar_sample(box, seed):
         )
         if min(slacks) >= 0.0:
             return phi1, phi2, phi3, psi1, psi2
+
+
+def blockwise_sample(box, count, seed):
+    """The reference: the sampler's stream checked one block at a time and read
+    one candidate at a time; returns the members' coordinates and ``candidates``,
+    or raises as the sampler must."""
+    rng = np.random.default_rng(seed)
+    K, B = box.K, SAMPLER_BLOCK
+    b1 = (1.0 - box.delta) / (1.0 + box.delta)
+    members, drawn, since = [], 0, 0
+    while True:
+        phi1 = rng.uniform(-b1, b1, B)
+        phi2 = rng.uniform(box.epsilon, box.phi2_max, B)
+        phi2 = np.where(rng.random(B) < 0.5, phi2, -phi2)
+        phi3 = rng.uniform(box.zeta, math.sqrt(2.0), B)
+        psi1 = rng.dirichlet(np.ones(K), B)
+        w = rng.standard_normal((B, K))
+        w -= w.mean(axis=1, keepdims=True)
+        psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
+        block = (phi1, phi2, phi3, psi1, psi2)
+        ok = (_membership_slacks(*block, box) >= 0.0).all(axis=0) & _phipsi_holds(*block)
+        for i in range(B):
+            since += 1
+            if since > params._MAX_REJECTIONS:
+                raise SamplerExhaustedError(
+                    f"member {len(members)} of {count} needs more than "
+                    f"{params._MAX_REJECTIONS} candidates: the box has too few members for "
+                    f"rejection sampling (K={K})"
+                )
+            if ok[i]:
+                members.append([c[i] for c in block])
+                since = 0
+                if len(members) == count:
+                    return [np.array(c) for c in zip(*members)], drawn + i + 1
+        drawn += B
+
+
+class TestSamplerRounds:
+    """Checking a round of blocks at once takes the members and ``candidates``
+    that checking one block at a time takes, and raises for the same member."""
+
+    BOXES = {
+        3: ConstraintBox(delta=0.05, epsilon=0.3, zeta=0.3, L=0.3, K=3),
+        8: ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.3, K=8),
+    }
+
+    @staticmethod
+    def record_rounds(monkeypatch):
+        rounds = []
+        draw = params._draw_round
+
+        def recorded(rng, box, blocks):
+            rounds.append(blocks)
+            return draw(rng, box, blocks)
+
+        monkeypatch.setattr(params, "_draw_round", recorded)
+        return rounds
+
+    @pytest.mark.parametrize(
+        "K, count, shape",
+        [(3, 5, "one"), (3, 100, "several"), (3, 2000, "capped"),
+         (8, 2, "one"), (8, 8, "several"), (8, 100, "capped")],
+    )
+    def test_same_stream_as_one_block_at_a_time(self, monkeypatch, K, count, shape):
+        box = self.BOXES[K]
+        rounds = self.record_rounds(monkeypatch)
+        for seed in range(3):
+            rounds.clear()
+            sample = sample_members(box, count, [seed, K])
+            ref, candidates = blockwise_sample(box, count, [seed, K])
+            for name, want in zip(("phi1", "phi2", "phi3", "psi1", "psi2"), ref):
+                np.testing.assert_array_equal(getattr(sample, name), want)
+            assert sample.candidates == candidates
+            if shape == "one":
+                assert rounds == [1]
+            elif shape == "several":
+                assert len(rounds) > 1 and max(rounds) < params._ROUND_BLOCKS
+            else:
+                assert params._ROUND_BLOCKS in rounds
+
+    def test_exhaustion_in_a_round_names_the_same_member(self, monkeypatch):
+        box = self.BOXES[8]
+        rounds = self.record_rounds(monkeypatch)
+        raised_in_round = 0
+        for budget in (100, 200):
+            monkeypatch.setattr(params, "_MAX_REJECTIONS", budget)
+            for seed in range(4):
+                rounds.clear()
+                with pytest.raises(SamplerExhaustedError) as ref:
+                    blockwise_sample(box, 100, [seed, 21])
+                with pytest.raises(SamplerExhaustedError) as got:
+                    sample_members(box, 100, [seed, 21])
+                assert str(got.value) == str(ref.value)
+                raised_in_round += rounds[-1] > 1
+        assert raised_in_round > 0
+
+
+class TestRowMin:
+    @pytest.mark.parametrize("K", [2, 3, 8, 20])
+    def test_equals_numpy_reduction(self, K):
+        rng = np.random.default_rng(K)
+        v = rng.standard_normal((4, 60, K))
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+        where = rng.random(v.shape) < 0.3
+        v[where] = rng.choice(special, where.sum())
+        v[0, :, :] = rng.choice([-0.0, 0.0], (60, K))  # rows of signed zeros only
+        for rows in (v, v[1], v[2, 7]):
+            want = rows.min(axis=-1)
+            got = _row_min(rows)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBlockSampler:
