@@ -14,13 +14,13 @@ The exact likelihood is computed two independent ways:
   also returns the V and filter trajectories.
 
 Each step is a linear-fractional map of V, so a run of steps composes into
-one 2 x 2 map.  A path set of fewer than ``_SCAN_ROW_CUT`` rows is cut along
-time into blocks of ``_SCAN_BLOCK`` steps, run side by side from V = 0 in
-one pass that composes each block's map and sums its log densities.  The
-maps are chained to give every block its exact entry V, and one log per
-block corrects its sum, so a long path costs about ``_SCAN_BLOCK`` Python
-steps instead of n.  With one block (n <= ``_SCAN_BLOCK``, at least
-``_SCAN_ROW_CUT`` rows, or a V trajectory kept) the scan is the step loop.
+one 2 x 2 map.  A long path is cut along time into blocks of L steps
+(``_block_length``, from H, R and n), run side by side from V = 0 in one
+pass that composes each block's map and sums its log densities.  The maps
+are chained to give every block its exact entry V, and one log per block
+corrects its sum, so a long path costs about L + n / L Python steps
+instead of n.  With one block (n <= 2048, H x R >= 1024 columns, or a V
+trajectory kept) the scan is the step loop.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -48,12 +48,6 @@ from .simulate import require_symbols, sample_paths
 from .triple_law import r_of_phi, rho
 
 LOG_FLOOR = 1e-300
-# Time blocks of the V scan (module docstring).  At _SCAN_ROW_CUT rows or more
-# a step is already vector-bound and blocking only adds work (H=2, n=1e4:
-# blocks take 0.91 of one block's time at R=500, 1.26 at R=1000).  Neither
-# constant is part of the seed contract.
-_SCAN_BLOCK = 2048
-_SCAN_ROW_CUT = 512
 
 
 def increasing_grid(values, name: str) -> tuple:
@@ -146,11 +140,8 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     denominator is the predictive density, with the four coefficients
     gathered by the step's symbols from K-long tables, so no R x n float
     array is built.  ``y`` has passed ``require_symbols`` and keeps its own
-    integer dtype: each step's ``symbol - 1`` indexes the tables in that
-    dtype, so a uint8 matrix is never widened.  Fewer than
-    ``_SCAN_ROW_CUT`` rows of more than ``_SCAN_BLOCK`` steps run in blocks
-    of ``_SCAN_BLOCK`` steps, one pass of about ``_SCAN_BLOCK`` Python steps;
-    otherwise, and always with ``keep_v``, the whole path is one block.
+    integer dtype, copied one step's symbols at a time, so a uint8 matrix is
+    never widened.  Time is cut into blocks of ``_block_length`` steps.
     Returns the H x R log-likelihoods, the H x R x len(checkpoints) prefix
     log-likelihoods and the H x R x n trajectory of V (None unless
     ``keep_v``).
@@ -159,9 +150,23 @@ def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
     if cps and cps[-1] > y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
     coef = _coefficients(pps)
-    n = y.shape[1]
-    blocked = y.shape[0] < _SCAN_ROW_CUT and n > _SCAN_BLOCK and not keep_v
-    return _block_scan(coef, y, _SCAN_BLOCK if blocked else n, cps, keep_v)
+    return _block_scan(coef, y, _block_length(coef.shape[1], *y.shape, keep_v), cps, keep_v)
+
+
+def _block_length(h, rows, n, keep_v=False):
+    """The V scan's block length for H x R paths of n steps; not part of the seed contract.
+
+    One block, the step loop, keeps V, runs n <= 2048 steps or h * rows >= 1024
+    columns a step (which outweigh numpy's call overhead).  Else the shortest power
+    of two L with 8 L^2 >= n (L scan steps against n / L chaining steps, each about
+    a quarter as dear) and, up to 2048, at most 2^13 cached columns h*rows*n/L a step.
+    """
+    if keep_v or n <= 2048 or h * rows >= 1024:
+        return n
+    length = 1
+    while 8 * length * length < n or (length < 2048 and length << 13 < h * rows * n):
+        length *= 2
+    return length
 
 
 def _block_scan(coef, y, length, cps=(), keep_v=False):
@@ -184,13 +189,13 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
         (total, m00, m01, m10), at, trace = _compose(coef, y, length, cps, keep_v)
         if blocks == 1:
             return total[:, 0], at[0].transpose(0, 2, 1), trace
-        ve = np.zeros((h, blocks, rows))
-        for j in range(1, blocks):
-            u = ve[:, j - 1]
-            ve[:, j] = (m00[:, j - 1] * u + m01[:, j - 1]) / (m10[:, j - 1] * u + 1.0)
+        ve = np.zeros((blocks, h, rows))  # block-major, so each step is a plain view
+        for u, out, a, b, c in zip(ve, ve[1:], *(m.swapaxes(0, 1) for m in (m00, m01, m10))):
+            np.divide(a * u + b, c * u + 1.0, out=out)
         # the entry corrections at the blocks' ends, then at the checkpoints
         js = [(cp - 1) // length for cp in cps]
-        corr = np.concatenate((m10, at[1]), axis=1) * ve[:, list(range(blocks)) + js] + 1.0
+        corr = np.concatenate((m10, at[1]), axis=1) * ve[list(range(blocks)) + js].swapaxes(0, 1)
+        corr += 1.0
         bad = ~((corr > 0.0) & (corr < np.inf)).all(axis=(0, 2))  # a NaN V_e fails too
         if bad.any():
             stops = [min(n, (j + 1) * length) for j in range(blocks)] + list(cps)
@@ -226,6 +231,7 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     # a view, block-major like the state below: y is never copied
     ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
     h = coef.shape[1]
+    table = np.concatenate((coef[:, :, :1], coef), axis=2)  # column s is symbol s's
     # The state is H x (blocks * R), block-major, so the blocks still running
     # are a prefix of the columns and every step works on 2-D arrays.
     state = np.zeros((4, h, blocks * rows))  # the sums, m00, m01 and m10
@@ -236,21 +242,25 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     for ci, cp in enumerate(cps):
         j, k = divmod(cp - 1, length)
         reads.setdefault(k, []).append((ci, slice(j * rows, (j + 1) * rows)))
+    idx = np.empty((blocks, rows), np.intp)  # a step's symbols, the tail block's last
     # a shorter last block drops out after its ``rem`` steps
     for live, steps in ((blocks, range(rem)), (full, range(rem, length))):
         run, a, v, c = state[:, :, : live * rows]
+        sym = idx[:live].reshape(-1)
         for k in steps:
-            sym = ys[:, :, k] if live == full else np.vstack((ys[:, :, k], y[:, tail + k]))
-            idx = np.subtract(sym, 1, order="C").ravel()
-            alpha, beta, gamma, delta = np.take(coef, idx, axis=2)
+            idx[:full] = ys[:, :, k]
+            if live > full:
+                idx[full] = y[:, tail + k]
+            alpha, beta, gamma, delta = np.take(table, sym, axis=2)
             den = delta + gamma * v
-            if not den.min() > 0.0:  # a NaN density fails too
+            low = den.min()
+            if not low > 0.0:  # a NaN density fails too
                 bad = ~(den > 0.0).reshape(h, live, rows)
                 j = int(np.argmax(bad.any(axis=(0, 2))))
                 first, step = den.reshape(h, live, rows)[:, j][bad[:, j]][0], j * length + k + 1
                 msg = f"predictive density {first} is not positive at step {step}"
                 raise NumericalDegeneracyError(msg, step=step)
-            run += np.log(np.maximum(den, LOG_FLOOR))
+            run += np.log(den if low >= LOG_FLOOR else np.maximum(den, LOG_FLOOR))
             if blocks > 1:
                 top = alpha * a + beta * c
                 c *= delta

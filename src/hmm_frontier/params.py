@@ -202,11 +202,12 @@ def emission_margin(phi1, phi3, psi1, psi2):
     return _row_min(vals)
 
 
-def _phipsi_rules(phi1, phi2, phi3, psi1, psi2):
+def _phipsi_rules(phi1, phi2, phi3, psi1, psi2, margin=None):
     """The invariants of ``PhiPsiParams`` over stacked rows, phi of shape ``(...)``
     and psi of shape ``(..., K)``, in order, as ``_require`` reads them.  NaN
     fails every test, and the emission margin comes after the coordinates are
-    found finite, so one row raises no floating-point warning."""
+    found finite, so one row raises no floating-point warning.  ``margin`` is
+    these rows' ``emission_margin`` if a caller has it already."""
     yield "phi1 must lie in [-1, 1]: phi1={}", np.abs(phi1) <= 1.0 + ZERO_TOL, phi1
     yield "phi2 must lie in [-1, 1]: phi2={}", np.abs(phi2) <= 1.0 + ZERO_TOL, phi2
     yield "phi3 must be finite and nonnegative: {}", (phi3 >= 0.0) & (phi3 < np.inf), phi3
@@ -215,13 +216,15 @@ def _phipsi_rules(phi1, phi2, phi3, psi1, psi2):
     yield "psi2 must have unit norm: {!r}", np.abs(norm - 1.0) <= DENSITY_TOL, norm
     total = psi2.sum(axis=-1)
     yield "psi2 entries must sum to 0: {!r}", np.abs(total) <= DENSITY_TOL, total
-    margin = emission_margin(phi1, phi3, psi1, psi2)
+    if margin is None:
+        margin = emission_margin(phi1, phi3, psi1, psi2)
     yield "emission nonnegativity violated (margin {:.3e})", margin >= -DENSITY_TOL, margin
 
 
-def _phipsi_holds(phi1, phi2, phi3, psi1, psi2) -> np.ndarray:
-    """Where each stacked row would make a ``PhiPsiParams``."""
-    return np.logical_and.reduce([ok for _, ok, _ in _phipsi_rules(phi1, phi2, phi3, psi1, psi2)])
+def _phipsi_holds(phi1, phi2, phi3, psi1, psi2, margin=None) -> np.ndarray:
+    """Where each stacked row would make a ``PhiPsiParams``; ``margin`` as in ``_phipsi_rules``."""
+    rules = _phipsi_rules(phi1, phi2, phi3, psi1, psi2, margin)
+    return np.logical_and.reduce([ok for _, ok, _ in rules])
 
 
 @dataclass(frozen=True)
@@ -536,8 +539,9 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     while taken < count:
         coords = _draw_round(rng, box, blocks)
         n = blocks * SAMPLER_BLOCK
-        ok = (_membership_slacks(*coords, box) >= 0.0).all(axis=0)
-        ok &= _phipsi_holds(*coords)
+        slacks = _membership_slacks(*coords, box)
+        ok = (slacks >= 0.0).all(axis=0)
+        ok &= _phipsi_holds(*coords, margin=slacks[SLACK_NAMES.index("emission_nonneg")])
         pos = np.flatnonzero(ok)[: count - taken]
         # candidates each member took, and at least n - pos[-1] for a member still wanted
         ends = pos if len(pos) == count - taken else np.append(pos, n)

@@ -309,7 +309,7 @@ class TestThresholdProbe:
         # a == b: each blocked path is scored twice by the same arithmetic, so
         # every ratio is exactly 0.0 and the fair coin alone decides
         n, replicas, seed = 5000, 40, 24
-        assert replicas < filter_kl._SCAN_ROW_CUT and n > filter_kl._SCAN_BLOCK
+        assert filter_kl._block_length(2, replicas, n) < n  # a blocked scan
         llr_paths, diffs = experiments.llr_paths, []
 
         def recorded(*args):

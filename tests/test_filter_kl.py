@@ -274,6 +274,22 @@ class TestStackedScan:
         assert str(stacked.value) == str(alone.value)
 
 
+@pytest.fixture
+def blocks_of(monkeypatch):
+    """The block tests' one seam: ``blocks_of(L)`` cuts every later scan into
+    blocks of L steps (fewer for shorter paths); ``keep_v`` still scans one."""
+
+    rule = filter_kl._block_length
+
+    def force(length):
+        monkeypatch.setattr(
+            filter_kl, "_block_length",
+            lambda h, rows, n, keep_v=False: rule(h, rows, n, keep_v) if keep_v else min(length, n),
+        )
+
+    return force
+
+
 def scan_pair():
     a = theta_to_phipsi(worked_theta())
     b = PhiPsiParams(
@@ -286,26 +302,28 @@ def scan_pair():
 class TestBlockedScan:
     """The time-blocked scan against the step loop it replaces."""
 
+    # B = 2048 steps is the longest one-block path; at the cut two
+    # hypotheses over 512 paths fill 1024 columns a step
     @pytest.mark.parametrize("block", [None, 3])
-    @pytest.mark.parametrize("rows", ["1", "2", "cut-1", "cut"])
-    @pytest.mark.parametrize("length", ["B-1", "B", "B+1", "3B+5"])
-    def test_matches_step_loop(self, block, rows, length, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 2, 511, 512], ids=["1", "2", "cut-1", "cut"])
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 3 * 2048 + 5], ids=["B-1", "B", "B+1", "3B+5"])
+    def test_matches_step_loop(self, block, rows, n, blocks_of):
         if block:  # tiny paths take many blocks
-            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
-        B, cut = filter_kl._SCAN_BLOCK, filter_kl._SCAN_ROW_CUT
-        R = {"1": 1, "2": 2, "cut-1": cut - 1, "cut": cut}[rows]
-        n = {"B-1": B - 1, "B": B, "B+1": B + 1, "3B+5": 3 * B + 5}[length]
+            blocks_of(block)
+        length = filter_kl._block_length(2, rows, n)
+        assert (length == n) == (block is None and (n <= 2048 or rows == 512))
         a, b = scan_pair()
-        y = sample_paths(phipsi_to_theta(a), n, R, [17, R, n]).observed
-        checkpoints = sorted({1, min(B, n), min(B + 1, n), n})
+        y = sample_paths(phipsi_to_theta(a), n, rows, [17, rows, n]).observed
+        # block edges, and the last two steps: in the shorter last block if there is one
+        checkpoints = sorted(cp for cp in {1, length, length + 1, 2048, n - 1, n} if cp <= n)
         got = filter_kl._v_scan([a, b], y, checkpoints)
-        want = loop_v_scan([a, b], y, checkpoints, keep_v=R <= 2)
+        want = loop_v_scan([a, b], y, checkpoints, keep_v=rows <= 2)
         for g, w in zip(got[:2], want[:2]):
-            if n <= B or R >= cut:  # one block: the step loop itself
+            if length == n:  # one block: the step loop itself
                 np.testing.assert_array_equal(g, w)
             else:
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
-        if R <= 2:  # keep_v always scans one block
+        if rows <= 2:  # keep_v always scans one block
             for g, w in zip(filter_kl._v_scan([a, b], y, checkpoints, keep_v=True), want):
                 np.testing.assert_array_equal(g, w)
 
@@ -331,8 +349,8 @@ class TestBlockedScan:
         for got, want in zip(entries, (m[0, 0], m[0, 1], m[1, 0])):
             assert np.array_equal(got, want.reshape(2, -(-n // block), rows))
 
-    def test_blocks_match_forward_filter(self, monkeypatch):
-        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)  # every path is 100 blocks
+    def test_blocks_match_forward_filter(self, blocks_of):
+        blocks_of(3)  # every path is 100 blocks
         rng = np.random.default_rng(5)
         for _ in range(20):
             th = positive_theta(rng)
@@ -343,15 +361,17 @@ class TestBlockedScan:
     def test_v_recursion_is_one_block(self):
         # a trajectory is only kept by the step loop: long paths too, bit for bit
         a, _ = scan_pair()
-        y = sample_paths(phipsi_to_theta(a), 2 * filter_kl._SCAN_BLOCK + 7, 1, 37).observed
+        n = 2 * 2048 + 7
+        assert filter_kl._block_length(1, 1, n) < n  # blocked without the trajectory
+        y = sample_paths(phipsi_to_theta(a), n, 1, 37).observed
         tr = v_recursion(a, y[0])
         loglik, _, trace = loop_v_scan([a], y, keep_v=True)
         assert tr.loglik == loglik[0, 0]
         assert np.array_equal(tr.v, trace[0, 0])
 
-    def test_blocked_prefix_row_is_prefix_estimate(self, monkeypatch):
+    def test_blocked_prefix_row_is_prefix_estimate(self, blocks_of):
         # bit for bit: a checkpoint and the prefix alone cut the same blocks
-        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        blocks_of(3)
         TestKL().test_prefix_row_is_prefix_estimate()
 
     def test_long_path_sum_is_no_less_accurate(self):
@@ -371,12 +391,48 @@ class TestBlockedScan:
         sequential = loop_v_scan([a], y)[0][0, 0]
         assert abs(blocked - exact) <= abs(sequential - exact)
 
+    @pytest.mark.parametrize(
+        "h, rows, n, keep_v, length",
+        [
+            (2, 2, 300_000, False, 256),  # long-path's kl-probe
+            (2, 100, 100_000, False, 2048),  # probe's hard pair
+            (2, 500, 10_000, False, 2048),  # probe's psi1 contrast
+            (1, 1, 100_000, False, 128),  # one path, one hypothesis
+            (2, 2, 10**6, False, 512),
+            (2, 2, 10**7, False, 2048),  # the cache bound stops at 2048
+            (2, 500, 100_000, False, 2048),
+            (2, 2, 300_000, True, 300_000),  # a kept trajectory: one block
+            (2, 2, 2048, False, 2048),  # short paths: one block
+            (2, 2, 2049, False, 32),  # 8 L^2 >= n
+            (1, 1023, 100_000, False, 2048),
+            (1, 1024, 100_000, False, 100_000),  # wide stacks: one block
+            (2, 512, 100_000, False, 100_000),
+            (2, 1000, 10_000, False, 10_000),
+            (2, 2000, 2000, False, 2000),
+        ],
+    )
+    def test_block_length_rule(self, h, rows, n, keep_v, length):
+        assert filter_kl._block_length(h, rows, n, keep_v) == length
+
+    def test_every_length_is_accurate_on_a_sticky_chain(self, blocks_of):
+        # the rule picks every power of two from 32 to 2048 for R <= 100 and
+        # n <= 1e6 (it grows with each argument); each keeps the blocked sums
+        # of a sticky chain within 1e-12 of the forward filter
+        assert filter_kl._block_length(1, 1, 2049) == 32
+        assert filter_kl._block_length(2, 100, 10**6) == 2048
+        th = ThetaParams(p=0.01, q=0.01, f0=[0.98, 0.01, 0.01], f1=[0.01, 0.01, 0.98])
+        y = sample_paths(th, 20_000, 3, 1).observed
+        exact = np.array([forward_filter(th, row).loglik for row in y])
+        for length in 2 ** np.arange(5, 12):
+            blocks_of(int(length))
+            np.testing.assert_allclose(loglik_batch(theta_to_phipsi(th), y), exact, rtol=1e-12)
+
     @pytest.mark.parametrize("block", [None, 3])
-    def test_nan_density_raises_at_its_step(self, block, monkeypatch):
+    def test_nan_density_raises_at_its_step(self, block, blocks_of, monkeypatch):
         # r = NaN makes V_1 NaN, so the density of step 2 is NaN; `den <= 0`
         # let it through and the log-likelihoods came back NaN
         if block:
-            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+            blocks_of(block)
         monkeypatch.setattr(filter_kl, "r_of_phi", lambda phi: np.nan)
         a, _ = scan_pair()
         y = sample_paths(phipsi_to_theta(a), 20, 3, 23).observed
@@ -385,12 +441,12 @@ class TestBlockedScan:
         assert err.value.step == 2
 
     @pytest.mark.parametrize("block", [None, 3])
-    def test_first_failing_step_across_blocks(self, block, monkeypatch):
+    def test_first_failing_step_across_blocks(self, block, blocks_of, monkeypatch):
         # symbol 3 has a NaN density and first appears at step 8 (with blocks
         # of 3 steps, step 2 of block 2); row 1's blocks 3 and 4 enter at a
         # NaN V and fail at their first step, which the scan reaches first
         if block:
-            monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", block)
+            blocks_of(block)
         coefficients = filter_kl._coefficients
 
         def nan_for_symbol_3(pps):
@@ -405,11 +461,11 @@ class TestBlockedScan:
             loglik_batch(list(scan_pair()), y)
         assert err.value.step == 8
 
-    def test_nan_entering_a_block_raises_at_its_first_step(self, monkeypatch):
+    def test_nan_entering_a_block_raises_at_its_first_step(self, blocks_of, monkeypatch):
         # beta is NaN for symbol 3, seen only at step 3, the last of block 0:
         # every block's path from V = 0 has positive densities, but block 1
         # enters at a NaN V, so the recursion first fails at step 4
-        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        blocks_of(3)
         coefficients = filter_kl._coefficients
 
         def nan_for_symbol_3(pps):
@@ -424,11 +480,11 @@ class TestBlockedScan:
             loglik_batch(list(scan_pair()), y)
         assert err.value.step == 4
 
-    def test_block_failing_alone_falls_back_to_the_step_loop(self, monkeypatch):
+    def test_block_failing_alone_falls_back_to_the_step_loop(self, blocks_of, monkeypatch):
         # symbol 3 (only at step 4, the first of block 1) has delta < 0: the
         # block's path from V = 0 fails there, the true V_3 does not, and the
         # path is scored by the step loop instead
-        monkeypatch.setattr(filter_kl, "_SCAN_BLOCK", 3)
+        blocks_of(3)
         a, _ = scan_pair()
         y = np.ones((1, 9), dtype=np.int64)
         y[0, 3] = 3
