@@ -53,12 +53,12 @@ from .params import (
     canonicalize,
     exists_witness,
     phipsi_to_theta,
+    r_of_phi,
     sample_members,
     sample_phipsi,
     stationary_dist,
     switch_labels,
     theta_to_phipsi,
-    validate_phipsi,
 )
 from .simulate import PathSample, derive_seed, empirical_triple_law, sample_path, sample_paths
 from .triple_law import (
@@ -68,7 +68,6 @@ from .triple_law import (
     m_of_phi,
     modulus_bounds,
     phi_of_m,
-    r_of_phi,
     rho,
     triple_law_phipsi,
     triple_law_theta,

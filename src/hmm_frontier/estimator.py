@@ -450,19 +450,13 @@ def estimate_theta(observed, box: ConstraintBox, *, random_starts: int = 3, seed
 
 @dataclass(frozen=True)
 class LossRecord:
-    """Label-switch-aware losses between an estimate and the truth.
-
-    Relative losses are None when the corresponding truth component is 0.
-    """
+    """Label-switch-aware losses between an estimate and the truth."""
 
     phi1: float
     phi2: float
     phi3: float
     psi1: float
     psi2: float
-    rel_phi1sq: float | None
-    rel_phi2: float | None
-    rel_phi3: float | None
     pq: float
     f: float
 
@@ -473,9 +467,6 @@ def losses(est: PhiPsiParams, truth: PhiPsiParams) -> LossRecord:
         float(np.linalg.norm(est.psi2 - truth.psi2)),
         float(np.linalg.norm(est.psi2 + truth.psi2)),
     )
-
-    def rel(num, den):
-        return None if den == 0.0 else abs(num / den - 1.0)
 
     te = phipsi_to_theta(est)
     theta_losses = []
@@ -497,9 +488,6 @@ def losses(est: PhiPsiParams, truth: PhiPsiParams) -> LossRecord:
         phi3=abs(est.phi3 - truth.phi3),
         psi1=float(np.linalg.norm(est.psi1 - truth.psi1)),
         psi2=loss_psi2,
-        rel_phi1sq=rel(1.0 - est.phi1**2, 1.0 - truth.phi1**2),
-        rel_phi2=rel(est.phi2, truth.phi2),
-        rel_phi3=rel(est.phi3, truth.phi3),
         pq=pq,
         f=f,
     )

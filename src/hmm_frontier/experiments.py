@@ -31,10 +31,11 @@ from .params import (
     box_member,
     exists_witness,
     phipsi_to_theta,
+    r_of_phi,
     sample_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law, sample_paths
-from .triple_law import r_of_phi, rho
+from .triple_law import rho
 
 PAIR_KINDS = ("phi1_phi3", "phi2", "psi1", "psi2")
 

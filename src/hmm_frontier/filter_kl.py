@@ -40,12 +40,13 @@ from .params import (
     PhiPsiParams,
     ThetaParams,
     phipsi_to_theta,
+    r_of_phi,
     require_same_k,
     stationary_dist,
     theta_to_phipsi,
 )
 from .simulate import require_symbols, sample_paths
-from .triple_law import r_of_phi, rho
+from .triple_law import rho
 
 LOG_FLOOR = 1e-300
 

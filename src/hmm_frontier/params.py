@@ -256,7 +256,7 @@ class ConstraintBox:
             raise ValidationError("zeta must be positive")
         if not (0.0 < self.L <= 1.0):
             raise ValidationError("L must lie in (0, 1]")
-        if self.K < 2:
+        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)) or self.K < 2:
             raise ValidationError("K must be an integer >= 2")
 
     @property
@@ -350,30 +350,6 @@ def canonicalize(pp: PhiPsiParams) -> PhiPsiParams:
     return pp if leading_sign(pp.psi2) > 0 else switch_labels(pp)
 
 
-@dataclass(frozen=True)
-class MembershipCheck:
-    name: str
-    passed: bool
-    slack: float
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Per-inequality membership verdicts with signed slack (>= 0 means pass)."""
-
-    checks: tuple[MembershipCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> MembershipCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 SLACK_NAMES = (
     "min_transition",
     "max_transition",
@@ -387,7 +363,10 @@ SLACK_NAMES = (
 
 def _membership_slacks(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> np.ndarray:
     """The signed slacks named in SLACK_NAMES, stacked on the first axis: phi of
-    shape ``(...)`` and psi of shape ``(..., K)`` give shape ``(7, ...)``."""
+    shape ``(...)`` and psi of shape ``(..., K)`` give shape ``(7, ...)``.  A point
+    is in the box where all are >= -ZERO_TOL.  At a ``PhiPsiParams``,
+    ``emission_nonneg`` never fails first (the point refused a negative margin),
+    nor does ``r_lower_bound``, which the other inequalities imply."""
     r = r_of_phi((phi1, phi2, phi3))
     return np.stack(
         [
@@ -415,20 +394,6 @@ def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
     return np.minimum.reduce(ratios, axis=-1)
 
 
-def validate_phipsi(pp: PhiPsiParams, box: ConstraintBox) -> MembershipReport:
-    """Check membership of pp in the spectral-gap-restricted box, with slacks.
-
-    The ``r_lower_bound`` entry is a consistency check implied by the other
-    inequalities; it is reported alongside them.
-    """
-    slacks = _membership_slacks(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box)
-    checks = tuple(
-        MembershipCheck(name, bool(slack >= -ZERO_TOL), float(slack))
-        for name, slack in zip(SLACK_NAMES, slacks)
-    )
-    return MembershipReport(checks=checks)
-
-
 def box_member(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> PhiPsiParams:
     """The frontier point with these coordinates, which must lie in ``box``; else a
     ValidationError ``outside the box: <rule>`` names the first rule of
@@ -437,9 +402,9 @@ def box_member(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> PhiPsiParams
         pp = PhiPsiParams(float(phi1), float(phi2), float(phi3), psi1, psi2)
     except ValidationError as exc:
         raise ValidationError(f"outside the box: {exc}") from exc
-    failed = [check.name for check in validate_phipsi(pp, box).checks if not check.passed]
-    if failed:
-        raise ValidationError(f"outside the box: {failed[0]}")
+    ok = _membership_slacks(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box) >= -ZERO_TOL
+    if not ok.all():
+        raise ValidationError(f"outside the box: {SLACK_NAMES[int(ok.argmin())]}")
     return pp
 
 
@@ -516,9 +481,10 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     |phi2| uniform on [epsilon, phi2_max]; the phi2 signs (+ where a uniform
     is below 1/2); phi3 uniform on [zeta, sqrt(2)].  Then psi1 ~ Dirichlet(1)
     as B x K, and standard normal B x K rows, centred and normalized into psi2.
-    A candidate is a member when its seven membership slacks are >= 0 and
-    the rules of ``PhiPsiParams`` hold for it; members are taken in draw
-    order, so the first m members for any ``count`` >= m are the same.
+    A candidate is a member when ``box_member`` would accept it (all seven
+    slacks >= -ZERO_TOL, and the rules of ``PhiPsiParams``); members are
+    taken in draw order, so the first m members for any ``count`` >= m are
+    the same.
 
     Blocks are checked a round at a time: one block first, then as many as
     the acceptance so far says the rest needs, at most ``_ROUND_BLOCKS``.
@@ -540,7 +506,7 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
         coords = _draw_round(rng, box, blocks)
         n = blocks * SAMPLER_BLOCK
         slacks = _membership_slacks(*coords, box)
-        ok = (slacks >= 0.0).all(axis=0)
+        ok = (slacks >= -ZERO_TOL).all(axis=0)
         ok &= _phipsi_holds(*coords, margin=slacks[SLACK_NAMES.index("emission_nonneg")])
         pos = np.flatnonzero(ok)[: count - taken]
         # candidates each member took, and at least n - pos[-1] for a member still wanted

@@ -33,7 +33,6 @@ from .params import (
     require_same_k,
     sample_members,
     stationary_dist,
-    switch_labels,
 )
 
 ENTRY_TOL = 1e-14
@@ -280,7 +279,6 @@ __all__ = [
     "MomentVector",
     "RatioProbeSummary",
     "ModulusBounds",
-    "r_of_phi",
     "m_of_phi",
     "phi_of_m",
     "triple_law_theta",
@@ -290,5 +288,4 @@ __all__ = [
     "rho",
     "equivalence_ratio_probe",
     "modulus_bounds",
-    "switch_labels",
 ]

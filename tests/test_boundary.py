@@ -26,9 +26,9 @@ from hmm_frontier import (
     sample_phipsi,
     threshold_probe,
     triple_law_phipsi,
-    validate_phipsi,
 )
 from hmm_frontier.experiments import PAIR_KINDS
+from hmm_frontier.params import _membership_slacks
 from hmm_frontier.triple_law import equivalence_ratio_probe
 
 # phi2_max = min(1 - 2 delta, 1 - L) = 0.7 in the first box; sqrt(2) / 12 is
@@ -56,7 +56,9 @@ def finite(*values) -> bool:
 
 
 def member_ok(pp, box) -> bool:
-    return finite(pp.phi, pp.psi1, pp.psi2) and validate_phipsi(pp, box).all_pass
+    return finite(pp.phi, pp.psi1, pp.psi2) and bool(
+        (_membership_slacks(*pp.phi, pp.psi1, pp.psi2, box) >= -1e-12).all()
+    )
 
 
 @pytest.mark.parametrize("name", list(BOXES))

@@ -19,7 +19,6 @@ from hmm_frontier import (
     switch_labels,
     theta_to_phipsi,
     triple_law_phipsi,
-    validate_phipsi,
 )
 from hmm_frontier.estimator import (
     _FATOL,
@@ -30,6 +29,7 @@ from hmm_frontier.estimator import (
     _objective,
     min_distance_fits,
 )
+from hmm_frontier.params import box_member
 from hmm_frontier.triple_law import TripleLaw
 
 from test_params import worked_box, worked_theta
@@ -53,7 +53,7 @@ class TestMomentInit:
         t = TripleLaw(probs=np.einsum("a,b,c->abc", psi1, psi1, psi1))
         init, fallback = moment_init(t, worked_box())
         assert fallback
-        assert validate_phipsi(init, worked_box()).all_pass
+        box_member(*init.phi, init.psi1, init.psi2, worked_box())  # raises outside it
 
     def test_marginal_is_psi1(self):
         pp = worked_pp()
@@ -90,7 +90,7 @@ class TestMinDistanceFit:
         fit = min_distance_fit(triple_law_phipsi(pp), worked_box(), random_starts=1)
         canon = canonicalize(fit.estimate)
         assert canon.phi1 == fit.estimate.phi1
-        assert validate_phipsi(fit.estimate, worked_box()).all_pass
+        box_member(*fit.estimate.phi, fit.estimate.psi1, fit.estimate.psi2, worked_box())
 
     def test_near_minimality_diagnostic(self):
         pp = worked_pp()
@@ -314,7 +314,7 @@ class TestEstimateTheta:
 
     def test_constant_sequence_handled(self):
         est, fit = estimate_theta(np.ones(100, dtype=int), worked_box(), random_starts=1)
-        assert validate_phipsi(fit.estimate, worked_box()).all_pass
+        box_member(*fit.estimate.phi, fit.estimate.psi1, fit.estimate.psi2, worked_box())
         assert isinstance(fit.converged, bool)
 
     def test_symbol_matrix_is_a_named_error(self):
@@ -354,12 +354,3 @@ class TestLosses:
         rec = losses(flipped, pp)
         assert rec.phi1 == 0.0
         assert rec.phi2 == 0.0
-
-    def test_relative_losses_not_applicable_on_zero(self):
-        pp = worked_pp()
-        th = worked_theta()
-        other = theta_to_phipsi(
-            type(th)(p=0.5, q=0.5, f0=th.f0, f1=th.f1)
-        )  # phi2 = 0
-        rec = losses(pp, other)
-        assert rec.rel_phi2 is None

@@ -25,9 +25,9 @@ from hmm_frontier import (
     sample_phipsi,
     slope_fit,
     threshold_probe,
-    validate_phipsi,
 )
 from hmm_frontier import experiments, filter_kl
+from hmm_frontier.params import SLACK_NAMES, _membership_slacks, box_member
 from hmm_frontier.experiments import PAIR_KINDS, sweep_rows_to_csv, SWEEP_COLUMNS
 
 
@@ -102,8 +102,8 @@ class TestLowerBoundPair:
                 delta=1e-6, epsilon=1e-6, zeta=1e-6, L=1e-6, K=box.K
             )
             for member in (pair.a, pair.b):
-                rep = validate_phipsi(member, wide)
-                assert rep["emission_nonneg"].passed
+                slacks = _membership_slacks(*member.phi, member.psi1, member.psi2, wide)
+                assert slacks[SLACK_NAMES.index("emission_nonneg")] >= -1e-12
 
     def test_infeasibilities(self):
         with pytest.raises(InfeasiblePairError):
@@ -140,8 +140,8 @@ class TestLowerBoundPair:
             except InfeasiblePairError:
                 continue
             returned += 1
-            assert validate_phipsi(pair.a, box).all_pass
-            assert validate_phipsi(pair.b, box).all_pass
+            for member in (pair.a, pair.b):  # box_member raises outside the box
+                box_member(*member.phi, member.psi1, member.psi2, box)
         assert returned > 100
 
     def test_member_outside_box_is_infeasible(self):

@@ -19,11 +19,11 @@ from hmm_frontier import (
     stationary_dist,
     switch_labels,
     theta_to_phipsi,
-    validate_phipsi,
 )
 from hmm_frontier import params
 from hmm_frontier.params import (
     SAMPLER_BLOCK,
+    SLACK_NAMES,
     _membership_slacks,
     _phipsi_holds,
     _row_min,
@@ -114,11 +114,15 @@ class TestPhiPsiToTheta:
             assert np.abs(back.psi2 - pp.psi2).max() <= 1e-12
 
 
+def slacks(pp, box):
+    """The named membership slacks of ``pp`` in ``box``."""
+    values = _membership_slacks(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box)
+    return dict(zip(SLACK_NAMES, values.tolist()))
+
+
 class TestValidation:
     def test_worked_example_in_box(self):
-        report = validate_phipsi(theta_to_phipsi(worked_theta()), worked_box())
-        assert report.all_pass
-        assert all(c.slack >= 0 for c in report.checks)
+        assert all(s >= 0 for s in slacks(theta_to_phipsi(worked_theta()), worked_box()).values())
 
     def test_spectral_gap_violation(self):
         pp = PhiPsiParams(
@@ -128,8 +132,7 @@ class TestValidation:
             psi1=np.full(3, 1 / 3),
             psi2=fallback_direction(3),
         )
-        report = validate_phipsi(pp, worked_box())
-        assert not report["spectral_gap"].passed
+        assert slacks(pp, worked_box())["spectral_gap"] < -1e-12
 
     def test_phi3_slack(self):
         pp = PhiPsiParams(
@@ -139,9 +142,9 @@ class TestValidation:
             psi1=np.full(3, 1 / 3),
             psi2=fallback_direction(3),
         )
-        check = validate_phipsi(pp, worked_box())["phi3_magnitude"]
-        assert not check.passed
-        assert check.slack == pytest.approx(0.2 - 0.3)
+        slack = slacks(pp, worked_box())["phi3_magnitude"]
+        assert slack < -1e-12
+        assert slack == pytest.approx(0.2 - 0.3)
 
     def test_bad_density_rejected(self):
         with pytest.raises(ValidationError):
@@ -225,11 +228,27 @@ class TestFrontierRules:
         box = worked_box()
         psi1, psi2 = np.full(3, 1 / 3), fallback_direction(3)
         pp = box_member(0.0, 0.4, 0.3, psi1, psi2, box)
-        assert validate_phipsi(pp, box).all_pass
+        assert all(s >= -1e-12 for s in slacks(pp, box).values())
         with pytest.raises(ValidationError, match="^outside the box: phi3_magnitude$"):
             box_member(0.0, 0.4, 0.2, psi1, psi2, box)
         with pytest.raises(ValidationError, match="^outside the box: phi1 must lie in"):
             box_member(math.nan, 0.4, 0.3, psi1, psi2, box)
+
+    @pytest.mark.parametrize(
+        "phi, name",
+        [
+            ((0.9, 0.3, 0.2), "min_transition"),
+            ((0.5, -0.5, 0.2), "max_transition"),
+            ((0.0, 0.1, 0.2), "phi2_magnitude"),
+            ((0.0, 0.4, 0.05), "phi3_magnitude"),
+            ((0.0, 0.75, 0.2), "spectral_gap"),
+        ],
+    )
+    def test_box_member_names_each_inequality(self, phi, name):
+        # emission_nonneg and r_lower_bound never come first: see _membership_slacks
+        box = ConstraintBox(0.1, 0.2, 0.1, 0.3, 3)
+        with pytest.raises(ValidationError, match=f"^outside the box: {name}$"):
+            box_member(*phi, np.full(3, 1 / 3), fallback_direction(3), box)
 
 
 class TestCanonicalize:
@@ -260,9 +279,9 @@ class TestSampling:
         box = ConstraintBox(delta=0.1, epsilon=0.3, zeta=0.1, L=0.3, K=3)
         for i in range(50):
             pp = sample_phipsi(box, [42, i])
-            report = validate_phipsi(pp, box)
-            assert report.all_pass
-            assert report["r_lower_bound"].passed
+            values = slacks(pp, box)
+            assert all(s >= -1e-12 for s in values.values())
+            assert values["r_lower_bound"] >= -1e-12
 
     def test_determinism(self):
         box = worked_box()
@@ -330,7 +349,7 @@ def blockwise_sample(box, count, seed):
         w -= w.mean(axis=1, keepdims=True)
         psi2 = w / np.maximum(np.linalg.norm(w, axis=1), 1e-12)[:, None]
         block = (phi1, phi2, phi3, psi1, psi2)
-        ok = (_membership_slacks(*block, box) >= 0.0).all(axis=0) & _phipsi_holds(*block)
+        ok = (_membership_slacks(*block, box) >= -1e-12).all(axis=0) & _phipsi_holds(*block)
         for i in range(B):
             since += 1
             if since > params._MAX_REJECTIONS:
@@ -453,7 +472,7 @@ class TestBlockSampler:
         sample = sample_members(self.BOX, 600, 3)
         assert sample.psi1.shape == (600, 3) and sample.candidates >= 600
         for i in range(600):
-            assert validate_phipsi(sample.member(i), self.BOX).all_pass
+            assert all(s >= -1e-12 for s in slacks(sample.member(i), self.BOX).values())
 
     def test_prefix_across_blocks(self):
         small = sample_members(self.BOX, 5, 11)
@@ -511,6 +530,14 @@ class TestBoxBounds:
         bounds[field] = value
         with pytest.raises(ValidationError, match="finite"):
             ConstraintBox(**bounds)
+
+    @pytest.mark.parametrize("K", [3.0, 2.5, "3", True])
+    def test_non_integer_k_is_refused(self, K):
+        with pytest.raises(ValidationError, match="K must be an integer >= 2"):
+            ConstraintBox(delta=0.1, epsilon=0.2, zeta=0.1, L=0.3, K=K)
+
+    def test_numpy_integer_k_is_accepted(self):
+        assert exists_witness(ConstraintBox(0.1, 0.2, 0.1, 0.3, np.int64(3))).psi1.size == 3
 
 
 class TestStationary:
