@@ -110,8 +110,11 @@ def moment_init(phat: TripleLaw, box: ConstraintBox):
     contracted against -psi2^(x3).  Returns ``(params, used_fallback)``:
     when the inferred moments are non-invertible (m1 ~ 0, m2 <= 0, or
     ``phi_of_m`` rejects them) or project outside the box, a box-center
-    parameter with the same psi1 is returned instead, flagged.
+    parameter with the same psi1 is returned instead, flagged.  A target of
+    another alphabet size than ``box.K`` is refused with a ValidationError.
     """
+    if phat.probs.shape[0] != box.K:
+        raise ValidationError(f"the target has K={phat.probs.shape[0]}, the box has K={box.K}")
     pn = phat.probs
     mass = float(pn.sum())
     if mass <= 0.0:

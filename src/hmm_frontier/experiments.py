@@ -156,18 +156,21 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
     """Run the estimator over the (n, replica) grid of an increasing ``n_grid``.
 
     The truth is fixed per sweep by default (drawn once from the box);
-    ``resample_truths`` draws a new truth per replica instead.  Returns row
+    ``resample_truths`` draws a new truth per replica instead, once for every
+    n, and then the fixed truth is not drawn.  Returns row
     dicts, deterministic given the seed; failures fill the error column and
     the sweep continues.
     """
     n_grid = increasing_grid(n_grid, "n_grid")
     if replicas < 1:
         raise ValidationError(f"replicas must be >= 1: {replicas}")
-    truth = sample_phipsi(box, derive_seed(seed, 0))
+    if resample_truths:
+        truths = [sample_phipsi(box, derive_seed(seed, 1, rep)) for rep in range(replicas)]
+    else:
+        truths = [sample_phipsi(box, derive_seed(seed, 0))] * replicas
     rows = []
     for n in n_grid:
-        for rep in range(replicas):
-            truth_r = sample_phipsi(box, derive_seed(seed, 1, rep)) if resample_truths else truth
+        for rep, truth_r in enumerate(truths):
             seed_int = int(derive_seed(seed, n, rep).generate_state(1)[0])
             row = {
                 "n": n, "replica": rep, "seed": seed_int,

@@ -178,34 +178,29 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
     product of a block's densities is the lower row of its unnormalized
     product applied to (V_e, 1), so its log-likelihood is its sum from V = 0
     plus log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at
-    its step.  The block log-likelihoods are added left to right.  With one
-    block this is the plain step loop, bit for bit.  If a density from V = 0
-    or an entry correction is not positive and finite, the failing prefix
-    is rescanned in one block: the step loop raises at its first bad step,
-    and if none is bad the whole path is scored so.
+    its step.  The block log-likelihoods are added left to right.  One block
+    has no chain and every correction is exactly 1, so it is the plain step
+    loop, bit for bit.  If a blocked pass meets a density from V = 0 or an
+    entry correction that is not positive and finite, the whole path is
+    scanned once more as one block, whose step loop raises at its first bad
+    step or scores the path.
     """
     rows, n = y.shape
     h, blocks = coef.shape[1], -(-n // length)
     try:
         (total, m00, m01, m10), at, trace = _compose(coef, y, length, cps, keep_v)
-        if blocks == 1:
-            return total[:, 0], at[0].transpose(0, 2, 1), trace
-        ve = np.zeros((blocks, h, rows))  # block-major, so each step is a plain view
-        for u, out, a, b, c in zip(ve, ve[1:], *(m.swapaxes(0, 1) for m in (m00, m01, m10))):
-            np.divide(a * u + b, c * u + 1.0, out=out)
-        # the entry corrections at the blocks' ends, then at the checkpoints
-        js = [(cp - 1) // length for cp in cps]
-        corr = np.concatenate((m10, at[1]), axis=1) * ve[list(range(blocks)) + js].swapaxes(0, 1)
-        corr += 1.0
-        bad = ~((corr > 0.0) & (corr < np.inf)).all(axis=(0, 2))  # a NaN V_e fails too
-        if bad.any():
-            stops = [min(n, (j + 1) * length) for j in range(blocks)] + list(cps)
-            step = min(stop for stop, failed in zip(stops, bad) if failed)
-            raise NumericalDegeneracyError(f"an entry correction fails by step {step}", step=step)
-    except NumericalDegeneracyError as err:
+    except NumericalDegeneracyError:
         if blocks == 1:
             raise
-        _block_scan(coef, y[:, : err.step], err.step)
+        return _block_scan(coef, y, n, cps)
+    ve = np.zeros((blocks, h, rows))  # block-major, so each step is a plain view
+    for u, out, a, b, c in zip(ve, ve[1:], *(m.swapaxes(0, 1) for m in (m00, m01, m10))):
+        np.divide(a * u + b, c * u + 1.0, out=out)
+    # the entry corrections at the blocks' ends, then at the checkpoints
+    js = [(cp - 1) // length for cp in cps]
+    corr = np.concatenate((m10, at[1]), axis=1) * ve[list(range(blocks)) + js].swapaxes(0, 1)
+    corr += 1.0
+    if not ((corr > 0.0) & (corr < np.inf)).all():  # a NaN V_e fails too; one block's are 1
         return _block_scan(coef, y, n, cps)
     ll = np.concatenate((total, at[0]), axis=1) + np.log(corr)
     sums = np.cumsum(ll[:, :blocks], axis=1)
@@ -221,10 +216,13 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     divides it by its (1, 1) entry den = delta + gamma m01, the density of the
     block's path from V = 0.  That entry is then exactly 1 and is not stored,
     and m01 is that path's V, updated by the step loop's own expressions.
-    Each step checks den > 0 and adds its log into the block's sum.  Returns
-    the sums, m00, m01 and m10 (1 and 0 with one block, which needs neither)
-    as one 4 x H x blocks x R array, the sums and m10 at the checkpoints
-    (2 x H x len(cps) x R), and the V trajectory (one block; None unless ``keep_v``).
+    Each step checks den > 0 and adds its log into the block's sum.  A shorter
+    last block is padded with symbol 0, the identity map, whose step leaves
+    every entry and sum as it is (den = 1), so every block runs the same
+    ``length`` steps.  Returns the sums, m00, m01 and m10 (1 and 0 with one
+    block, which needs neither) as one 4 x H x blocks x R array, the sums and
+    m10 at the checkpoints (2 x H x len(cps) x R), and the V trajectory (one
+    block; None unless ``keep_v``).
     """
     rows, n = y.shape
     full, rem = divmod(n, length)
@@ -232,11 +230,12 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     # a view, block-major like the state below: y is never copied
     ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
     h = coef.shape[1]
-    table = np.concatenate((coef[:, :, :1], coef), axis=2)  # column s is symbol s's
-    # The state is H x (blocks * R), block-major, so the blocks still running
-    # are a prefix of the columns and every step works on 2-D arrays.
+    table = np.concatenate((np.zeros((4, h, 1)), coef), axis=2)  # column s is symbol s's
+    table[[0, 3], :, 0] = 1.0  # symbol 0, which pads a shorter last block: the identity
+    # The state is H x (blocks * R), block-major, so every step works on 2-D arrays.
     state = np.zeros((4, h, blocks * rows))  # the sums, m00, m01 and m10
     state[1] = 1.0
+    run, a, v, c = state
     at = np.zeros((2, h, len(cps), rows))
     trace = np.empty((h, rows, n)) if keep_v else None
     reads = {}  # in-block step -> (checkpoint index, its block's columns) read after it
@@ -244,37 +243,33 @@ def _compose(coef, y, length, cps=(), keep_v=False):
         j, k = divmod(cp - 1, length)
         reads.setdefault(k, []).append((ci, slice(j * rows, (j + 1) * rows)))
     idx = np.empty((blocks, rows), np.intp)  # a step's symbols, the tail block's last
-    # a shorter last block drops out after its ``rem`` steps
-    for live, steps in ((blocks, range(rem)), (full, range(rem, length))):
-        run, a, v, c = state[:, :, : live * rows]
-        sym = idx[:live].reshape(-1)
-        for k in steps:
-            idx[:full] = ys[:, :, k]
-            if live > full:
-                idx[full] = y[:, tail + k]
-            alpha, beta, gamma, delta = np.take(table, sym, axis=2)
-            den = delta + gamma * v
-            low = den.min()
-            if not low > 0.0:  # a NaN density fails too
-                bad = ~(den > 0.0).reshape(h, live, rows)
-                j = int(np.argmax(bad.any(axis=(0, 2))))
-                first, step = den.reshape(h, live, rows)[:, j][bad[:, j]][0], j * length + k + 1
-                msg = f"predictive density {first} is not positive at step {step}"
-                raise NumericalDegeneracyError(msg, step=step)
-            run += np.log(den if low >= LOG_FLOOR else np.maximum(den, LOG_FLOOR))
-            if blocks > 1:
-                top = alpha * a + beta * c
-                c *= delta
-                c += gamma * a
-                c /= den
-                np.divide(top, den, out=a)
-            v *= alpha
-            v += beta
-            v /= den
-            if keep_v:
-                trace[:, :, k] = v
-            for ci, part in reads.get(k, ()):
-                at[:, :, ci] = state[[0, 3], :, part]
+    sym = idx.reshape(-1)
+    for k in range(length):
+        idx[:full] = ys[:, :, k]
+        idx[full:] = y[:, tail + k] if k < rem else 0
+        alpha, beta, gamma, delta = np.take(table, sym, axis=2)
+        den = delta + gamma * v
+        low = den.min()
+        if not low > 0.0:  # a NaN density fails too
+            bad = ~(den > 0.0).reshape(h, blocks, rows)
+            j = int(np.argmax(bad.any(axis=(0, 2))))
+            first, step = den.reshape(h, blocks, rows)[:, j][bad[:, j]][0], j * length + k + 1
+            msg = f"predictive density {first} is not positive at step {step}"
+            raise NumericalDegeneracyError(msg, step=step)
+        run += np.log(den if low >= LOG_FLOOR else np.maximum(den, LOG_FLOOR))
+        if blocks > 1:
+            top = alpha * a + beta * c
+            c *= delta
+            c += gamma * a
+            c /= den
+            np.divide(top, den, out=a)
+        v *= alpha
+        v += beta
+        v /= den
+        if keep_v:
+            trace[:, :, k] = v
+        for ci, part in reads.get(k, ()):
+            at[:, :, ci] = state[[0, 3], :, part]
     return state.reshape(4, h, blocks, rows), at, trace
 
 

@@ -397,11 +397,14 @@ def _phi3_max(phi1, psi1: np.ndarray, psi2: np.ndarray):
 def box_member(phi1, phi2, phi3, psi1, psi2, box: ConstraintBox) -> PhiPsiParams:
     """The frontier point with these coordinates, which must lie in ``box``; else a
     ValidationError ``outside the box: <rule>`` names the first rule of
-    ``PhiPsiParams`` or the first inequality of SLACK_NAMES that fails."""
+    ``PhiPsiParams``, an alphabet size other than ``box.K``, or the first
+    inequality of SLACK_NAMES that fails."""
     try:
         pp = PhiPsiParams(float(phi1), float(phi2), float(phi3), psi1, psi2)
     except ValidationError as exc:
         raise ValidationError(f"outside the box: {exc}") from exc
+    if pp.psi1.size != box.K:
+        raise ValidationError(f"outside the box: K={pp.psi1.size}, the box has K={box.K}")
     ok = _membership_slacks(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, box) >= -ZERO_TOL
     if not ok.all():
         raise ValidationError(f"outside the box: {SLACK_NAMES[int(ok.argmin())]}")

@@ -29,7 +29,7 @@ from hmm_frontier.estimator import (
     _objective,
     min_distance_fits,
 )
-from hmm_frontier.params import box_member
+from hmm_frontier.params import box_member, fallback_direction
 from hmm_frontier.triple_law import TripleLaw
 
 from test_params import worked_box, worked_theta
@@ -37,6 +37,16 @@ from test_params import worked_box, worked_theta
 
 def worked_pp():
     return theta_to_phipsi(worked_theta())
+
+
+def box_of(k):
+    return ConstraintBox(0.1, 0.2, 0.1, 0.3, k)
+
+
+def k4_target():
+    """The triple law of a K = 4 point that meets every slack of ``box_of(3)``."""
+    pp = box_member(0, 0.3, 0.2, np.full(4, 0.25), fallback_direction(4), box_of(4))
+    return triple_law_phipsi(pp)
 
 
 class TestMomentInit:
@@ -55,6 +65,10 @@ class TestMomentInit:
         assert fallback
         box_member(*init.phi, init.psi1, init.psi2, worked_box())  # raises outside it
 
+    def test_target_of_another_alphabet_size_is_refused(self):
+        with pytest.raises(ValidationError, match="^the target has K=4, the box has K=3$"):
+            moment_init(k4_target(), box_of(3))
+
     def test_marginal_is_psi1(self):
         pp = worked_pp()
         t = triple_law_phipsi(pp)
@@ -71,6 +85,10 @@ class TestMinDistanceFit:
         rec = losses(fit.estimate, pp)
         assert max(rec.phi1, rec.phi2, rec.phi3, rec.psi1, rec.psi2) <= 1e-3
         assert fit.objective <= 1e-6
+
+    def test_target_of_another_alphabet_size_is_refused(self):
+        with pytest.raises(ValidationError, match="^the target has K=4, the box has K=3$"):
+            min_distance_fit(k4_target(), box_of(3), random_starts=1)
 
     def test_negative_random_starts_are_refused(self):
         with pytest.raises(ValidationError, match="random_starts must be >= 0"):

@@ -206,6 +206,20 @@ class TestRateSweep:
         for col in ("phi1", "phi2", "phi3", "psi1", "psi2", "pq", "f"):
             assert row[f"loss_{col}"] == getattr(rec, col)
 
+    def test_resampled_truths_are_drawn_once_each(self, monkeypatch):
+        # the fixed truth [seed, 0] is not drawn, and a replica's truth is
+        # drawn once for the whole grid
+        seeds = []
+
+        def recording(box, seed):
+            seeds.append(list(seed.entropy) + list(seed.spawn_key))
+            return sample_phipsi(box, seed)
+
+        monkeypatch.setattr(experiments, "sample_phipsi", recording)
+        rows = rate_sweep(self.box(), (300, 600), 2, 3, resample_truths=True)
+        assert [row["error"] for row in rows] == [""] * 4
+        assert seeds == [[3, 1, 0], [3, 1, 1]]
+
     def test_replicas_must_be_positive(self):
         with pytest.raises(ValidationError, match="replicas must be >= 1"):
             rate_sweep(self.box(), (500,), 0, 1)

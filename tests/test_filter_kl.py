@@ -480,10 +480,11 @@ class TestBlockedScan:
             loglik_batch(list(scan_pair()), y)
         assert err.value.step == 4
 
-    def test_block_failing_alone_falls_back_to_the_step_loop(self, blocks_of, monkeypatch):
+    @staticmethod
+    def spurious_failure(blocks_of, monkeypatch):
+        """Blocks of 3 and a 9-step path whose block 1 fails from V = 0 but not from V_3."""
         # symbol 3 (only at step 4, the first of block 1) has delta < 0: the
-        # block's path from V = 0 fails there, the true V_3 does not, and the
-        # path is scored by the step loop instead
+        # block's path from V = 0 fails there, the true V_3 does not
         blocks_of(3)
         a, _ = scan_pair()
         y = np.ones((1, 9), dtype=np.int64)
@@ -497,12 +498,30 @@ class TestBlockedScan:
             return coef
 
         monkeypatch.setattr(filter_kl, "_coefficients", shifted_symbol_3)
+        return a, y
+
+    def test_block_failing_alone_falls_back_to_the_step_loop(self, blocks_of, monkeypatch):
+        # the path is scored by the step loop instead
+        a, y = self.spurious_failure(blocks_of, monkeypatch)
         with pytest.raises(NumericalDegeneracyError, match="at step 4$"):
             filter_kl._compose(filter_kl._coefficients([a]), y, 3)
         got = loglik_batch([a], y, [5, 9])
         want = loop_v_scan([a], y, [5, 9])
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_failed_blocked_pass_is_rescanned_once(self, blocks_of, monkeypatch):
+        # the spurious failure costs exactly one more pass: the whole path as one block
+        a, y = self.spurious_failure(blocks_of, monkeypatch)
+        compose, passes = filter_kl._compose, []
+
+        def counting(coef, y, length, *args):
+            passes.append((y.shape[1], length))
+            return compose(coef, y, length, *args)
+
+        monkeypatch.setattr(filter_kl, "_compose", counting)
+        assert np.array_equal(loglik_batch([a], y), loop_v_scan([a], y)[0])
+        assert passes == [(9, 3), (9, 9)]
 
 
 class TestKL:

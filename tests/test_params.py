@@ -234,6 +234,12 @@ class TestFrontierRules:
         with pytest.raises(ValidationError, match="^outside the box: phi1 must lie in"):
             box_member(math.nan, 0.4, 0.3, psi1, psi2, box)
 
+    def test_box_member_refuses_another_alphabet_size(self):
+        # every slack holds at K = 4, but the box's points have K = 3
+        box = ConstraintBox(0.1, 0.2, 0.1, 0.3, 3)
+        with pytest.raises(ValidationError, match="^outside the box: K=4, the box has K=3$"):
+            box_member(0, 0.3, 0.2, np.full(4, 0.25), fallback_direction(4), box)
+
     @pytest.mark.parametrize(
         "phi, name",
         [
