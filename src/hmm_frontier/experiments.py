@@ -155,17 +155,22 @@ SWEEP_COLUMNS = (
 def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_truths=False):
     """Run the estimator over the (n, replica) grid of an increasing ``n_grid``.
 
-    The truth is fixed per sweep by default (drawn once from the box);
-    ``resample_truths`` draws a new truth per replica instead, once for every
-    n, and then the fixed truth is not drawn.  Returns row
-    dicts, deterministic given the seed; failures fill the error column and
-    the sweep continues.
+    The truth is fixed per sweep by default (drawn once from the box; as
+    every row's truth, a failed draw raises).  ``resample_truths`` draws a
+    new truth per replica instead, once for every n, and not the fixed one.
+    Returns row dicts, deterministic given the seed; failures, a replica's
+    failed draw among them, fill the error column and the sweep continues.
     """
     n_grid = increasing_grid(n_grid, "n_grid")
     if replicas < 1:
         raise ValidationError(f"replicas must be >= 1: {replicas}")
     if resample_truths:
-        truths = [sample_phipsi(box, derive_seed(seed, 1, rep)) for rep in range(replicas)]
+        truths = []
+        for rep in range(replicas):
+            try:
+                truths.append(sample_phipsi(box, derive_seed(seed, 1, rep)))
+            except FrontierError as exc:  # raised again in each of the replica's rows
+                truths.append(exc)
     else:
         truths = [sample_phipsi(box, derive_seed(seed, 0))] * replicas
     rows = []
@@ -179,6 +184,8 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
             }
             t0 = time.perf_counter()
             try:
+                if isinstance(truth_r, FrontierError):
+                    raise truth_r
                 theta = phipsi_to_theta(truth_r)
                 path = sample_paths(theta, n, 1, seed_int, hidden=False)
                 phat = empirical_triple_law(path.observed[0], box.K)

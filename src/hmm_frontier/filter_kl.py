@@ -7,11 +7,11 @@ The exact likelihood is computed two independent ways:
   the oracle the V recursion is tested against;
 * the recursion on V_k = phi3 (P_k(0) - P_k(1) - phi1) in frontier
   coordinates, whose predictive density for the next symbol is
-  psi1(y) + V_k psi2(y) / 2.  One scan (``_v_scan``) runs it for H stacked
-  hypotheses over the rows of an R x n symbol matrix: ``loglik_batch``
-  scores many paths under one or several hypotheses in one pass (with
-  optional prefix checkpoints), and ``v_recursion`` runs it on one path and
-  also returns the V and filter trajectories.
+  psi1(y) + V_k psi2(y) / 2.  One step loop (``_compose``) runs it for H
+  stacked hypotheses over the rows of an R x n symbol matrix:
+  ``loglik_batch`` scores many paths under one or several hypotheses in one
+  pass (with optional prefix checkpoints), and ``v_recursion`` runs it on
+  one path and also returns the V and filter trajectories.
 
 Each step is a linear-fractional map of V, so a run of steps composes into
 one 2 x 2 map.  A long path is cut along time into blocks of L steps
@@ -19,8 +19,8 @@ one 2 x 2 map.  A long path is cut along time into blocks of L steps
 pass that composes each block's map and sums its log densities.  The maps
 are chained to give every block its exact entry V, and one log per block
 corrects its sum, so a long path costs about L + n / L Python steps
-instead of n.  With one block (n <= 2048, H x R >= 1024 columns, or a V
-trajectory kept) the scan is the step loop.
+instead of n.  With one block (n <= 2048 or H x R >= 1024 columns) the
+scan is the step loop, which ``v_recursion`` always runs.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -134,35 +134,15 @@ def _coefficients(pps) -> np.ndarray:
     return np.stack(tables, axis=1)
 
 
-def _v_scan(pps, y: np.ndarray, checkpoints=None, keep_v: bool = False):
-    """The V recursion of H hypotheses over the rows of an R x n symbol matrix.
-
-    Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
-    denominator is the predictive density, with the four coefficients
-    gathered by the step's symbols from K-long tables, so no R x n float
-    array is built.  ``y`` has passed ``require_symbols`` and keeps its own
-    integer dtype, copied one step's symbols at a time, so a uint8 matrix is
-    never widened.  Time is cut into blocks of ``_block_length`` steps.
-    Returns the H x R log-likelihoods, the H x R x len(checkpoints) prefix
-    log-likelihoods and the H x R x n trajectory of V (None unless
-    ``keep_v``).
-    """
-    cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
-    if cps and cps[-1] > y.shape[1]:
-        raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
-    coef = _coefficients(pps)
-    return _block_scan(coef, y, _block_length(coef.shape[1], *y.shape, keep_v), cps, keep_v)
-
-
-def _block_length(h, rows, n, keep_v=False):
+def _block_length(h, rows, n):
     """The V scan's block length for H x R paths of n steps; not part of the seed contract.
 
-    One block, the step loop, keeps V, runs n <= 2048 steps or h * rows >= 1024
+    One block, the step loop, runs n <= 2048 steps or h * rows >= 1024
     columns a step (which outweigh numpy's call overhead).  Else the shortest power
     of two L with 8 L^2 >= n (L scan steps against n / L chaining steps, each about
     a quarter as dear) and, up to 2048, at most 2^13 cached columns h*rows*n/L a step.
     """
-    if keep_v or n <= 2048 or h * rows >= 1024:
+    if n <= 2048 or h * rows >= 1024:
         return n
     length = 1
     while 8 * length * length < n or (length < 2048 and length << 13 < h * rows * n):
@@ -170,15 +150,21 @@ def _block_length(h, rows, n, keep_v=False):
     return length
 
 
-def _block_scan(coef, y, length, cps=(), keep_v=False):
-    """``_v_scan`` with time cut into blocks of ``length`` steps (the last may be shorter).
+def _block_scan(coef, y, length, cps=()):
+    """The V scan: H x R log-likelihoods and H x R x len(cps) prefixes, ``length`` steps a block.
 
-    The blocks' maps from ``_compose`` are chained to give each block its
-    exact entry V_e (block 0 enters at V_0 = 0, the stationary filter).  The
-    product of a block's densities is the lower row of its unnormalized
-    product applied to (V_e, 1), so its log-likelihood is its sum from V = 0
-    plus log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at
-    its step.  The block log-likelihoods are added left to right.  One block
+    Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
+    denominator is the predictive density, with the four coefficients
+    gathered by the step's symbols from K-long tables, so no R x n float
+    array is built.  ``y`` has passed ``require_symbols`` and keeps its own
+    integer dtype, copied one step's symbols at a time, so a uint8 matrix is
+    never widened.  Time is cut into blocks (the last may be shorter), whose
+    maps from ``_compose`` are chained to give each block its exact entry
+    V_e (block 0 enters at V_0 = 0, the stationary filter).  The product of
+    a block's densities is the lower row of its unnormalized product applied
+    to (V_e, 1), so its log-likelihood is its sum from V = 0 plus
+    log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at its
+    step.  The block log-likelihoods are added left to right.  One block
     has no chain and every correction is exactly 1, so it is the plain step
     loop, bit for bit.  If a blocked pass meets a density from V = 0 or an
     entry correction that is not positive and finite, the whole path is
@@ -188,7 +174,7 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
     rows, n = y.shape
     h, blocks = coef.shape[1], -(-n // length)
     try:
-        (total, m00, m01, m10), at, trace = _compose(coef, y, length, cps, keep_v)
+        (total, m00, m01, m10), at, _ = _compose(coef, y, length, cps)
     except NumericalDegeneracyError:
         if blocks == 1:
             raise
@@ -205,7 +191,7 @@ def _block_scan(coef, y, length, cps=(), keep_v=False):
     ll = np.concatenate((total, at[0]), axis=1) + np.log(corr)
     sums = np.cumsum(ll[:, :blocks], axis=1)
     before = np.concatenate((np.zeros((h, 1, rows)), sums[:, :-1]), axis=1)
-    return sums[:, -1], (ll[:, blocks:] + before[:, js]).transpose(0, 2, 1), trace
+    return sums[:, -1], (ll[:, blocks:] + before[:, js]).transpose(0, 2, 1)
 
 
 def _compose(coef, y, length, cps=(), keep_v=False):
@@ -284,18 +270,18 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
     The denominator is the predictive density of Y_k; if it is ever
     not positive (or NaN) a NumericalDegeneracyError carrying the step index
     is raised (this cannot happen when emissions are bounded away from zero
-    and |phi2| is small).
+    and |phi2| is small).  The path runs as ``_compose``'s one block, V kept.
     """
     y = require_symbols(observed, pp.psi1.size)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("observed must be a nonempty vector")
-    loglik, _, v = _v_scan([pp], y[None, :], keep_v=True)
+    state, _, v = _compose(_coefficients([pp]), y[None, :], y.size, keep_v=True)
     v = v[0, 0]
     if pp.phi3 > 0.0:
         pred1 = 0.5 * (1.0 - pp.phi1 - v / pp.phi3)
     else:
         pred1 = np.full(y.size, 0.5 * (1.0 - pp.phi1))
-    return FilterTrace(v=v, predfilter=pred1, loglik=float(loglik[0, 0]))
+    return FilterTrace(v=v, predfilter=pred1, loglik=float(state[0, 0, 0, 0]))
 
 
 def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
@@ -313,7 +299,11 @@ def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
     y = require_symbols(observed, pps[0].psi1.size)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValidationError("observed must be a nonempty R x n matrix")
-    loglik, prefix, _ = _v_scan(pps, y, checkpoints)
+    cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
+    if cps and cps[-1] > y.shape[1]:
+        raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
+    coef = _coefficients(pps)
+    loglik, prefix = _block_scan(coef, y, _block_length(coef.shape[1], *y.shape), cps)
     if single:
         loglik, prefix = loglik[0], prefix[0]
     return loglik if checkpoints is None else (loglik, prefix)
@@ -332,27 +322,27 @@ class KLEstimate:
         return cls(mean=float(llr.mean()), stderr=float(llr.std(ddof=1) / np.sqrt(llr.size)))
 
 
-def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicates: int, seed):
+def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicas: int, seed):
     """R x len(lengths) log p_a - log p_b on R paths drawn under ``truth`` with ``seed``.
 
     Column j scores the length-``lengths[j]`` prefixes of the same paths.
     """
-    if replicates < 2:
-        raise ValidationError("replicates must be >= 2")
+    if replicas < 2:
+        raise ValidationError(f"replicas must be >= 2: {replicas}")
     lengths = increasing_grid(lengths, "n_grid")
     _coefficients([a, b])  # refuse a zero emission before drawing the paths
-    paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicates, seed, hidden=False)
+    paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicas, seed, hidden=False)
     _, (la, lb) = loglik_batch([a, b], paths.observed, lengths)
     return la - lb
 
 
-def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n_grid, replicates: int, seed) -> list:
+def kl_estimate(a: PhiPsiParams, b: PhiPsiParams, n_grid, replicas: int, seed) -> list:
     """One ``KLEstimate`` per length in ``n_grid``, all off one ``llr_paths`` sample under ``a``.
 
-    The estimates along a grid are therefore correlated.  Every replicate
+    The estimates along a grid are therefore correlated.  Every replica
     counts: ``loglik_batch`` raises rather than return a non-finite value.
     """
-    return [KLEstimate.of(col) for col in llr_paths(a, b, a, n_grid, replicates, seed).T]
+    return [KLEstimate.of(col) for col in llr_paths(a, b, a, n_grid, replicas, seed).T]
 
 
 def kl_rho_bound(a: PhiPsiParams, b: PhiPsiParams, n: int) -> float:

@@ -1,0 +1,105 @@
+"""The V-scan bank: fixed log-likelihood scans for checking a change to the scan.
+
+Criterion 7's pair (a, and b = a with psi1 moved 0.03 along psi2) scores
+paths drawn under a by ``sample_paths(theta_a, n, R, [904, R, n])``:
+``loglik_batch([a, b], y, [n // 3, n])`` and ``loglik_batch(a, y)`` at
+R x n = 2 x 3e5, 100 x 1e5, 500 x 1e4, 1 x 100,001 and 4000 x 1000, and
+``v_recursion(a, y)`` on one path of n = 10, 5000 and 100,001 steps.  Run
+from the repository root:
+
+    PYTHONPATH=src python tests/scan_bank.py > bank.jsonl
+    PYTHONPATH=src python tests/scan_bank.py --against bank.jsonl
+
+The first form prints one JSON line per case: the totals and prefixes of
+``loglik_batch`` as exact floats, or the log-likelihood of ``v_recursion``
+with a SHA-256 of its V and filter trajectories and the largest |V|.  With
+``--against FILE`` it prints, for each case, "identical" or the largest
+relative difference from the same case in FILE, and exits 1 when some case
+differs.  The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from hmm_frontier import PhiPsiParams, loglik_batch, phipsi_to_theta, sample_paths, v_recursion
+
+PSI2 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+A = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=np.full(3, 1.0 / 3.0), psi2=PSI2)
+B = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=A.psi1 + 0.03 * PSI2, psi2=PSI2)
+BATCHES = ((2, 300_000), (100, 100_000), (500, 10_000), (1, 100_001), (4000, 1000))
+TRAJECTORIES = (10, 5000, 100_001)
+
+
+def paths(rows, n):
+    return sample_paths(phipsi_to_theta(A), n, rows, [904, rows, n], hidden=False).observed
+
+
+def sha256(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def run_bank():
+    """Yield one record per case, in a fixed order."""
+    for rows, n in BATCHES:
+        y = paths(rows, n)
+        total, prefix = loglik_batch([A, B], y, [n // 3, n])
+        yield {
+            "case": f"loglik_batch-{rows}x{n}",
+            "total": total.tolist(),
+            "prefix": prefix.tolist(),
+            "total_a": loglik_batch(A, y).tolist(),
+        }
+    for n in TRAJECTORIES:
+        tr = v_recursion(A, paths(1, n)[0])
+        yield {
+            "case": f"v_recursion-{n}",
+            "loglik": tr.loglik,
+            "v_sha256": sha256(tr.v),
+            "predfilter_sha256": sha256(tr.predfilter),
+            "max_abs_v": float(np.abs(tr.v).max()),
+        }
+
+
+def compare(rec, old) -> str:
+    """"identical", or how ``rec`` differs from ``old``: its largest relative difference."""
+    if rec == old:
+        return "identical"
+    worst = 0.0
+    for name, value in rec.items():
+        if not isinstance(value, str):
+            got, want = np.asarray(value, dtype=float), np.asarray(old[name], dtype=float)
+            rel = np.abs(got - want) / np.maximum(np.abs(want), np.finfo(float).tiny)
+            worst = max(worst, float(rel.max()))
+    moved = [name for name, value in rec.items() if isinstance(value, str) and value != old[name]]
+    return f"largest relative difference {worst:.3e}" + "".join(f"; {m} differs" for m in moved)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--against", help="JSON lines from an earlier run")
+    args = parser.parse_args(argv)
+    ref = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            ref = {rec["case"]: rec for rec in map(json.loads, filter(str.strip, fh))}
+    differ = 0
+    for rec in run_bank():
+        if ref is None:
+            print(json.dumps(rec), flush=True)
+            continue
+        verdict = compare(rec, ref[rec["case"]])
+        differ += verdict != "identical"
+        print(f"{rec['case']}: {verdict}", flush=True)
+    if ref is not None:
+        print(f"# {differ} of {len(ref)} cases differ", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

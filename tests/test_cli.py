@@ -267,6 +267,11 @@ BAD_INPUTS = {
         "estimate", "--input", write(d, "obs.txt", "1\n2\n3\n2\n1\n" * 40), "--starts", "-1",
     ],
     "zero-replicas": lambda d: ["rate-sweep", "--replicas", "0"],
+    "one-kl-replica": lambda d: [
+        "kl-probe", "--params-a", native_params(d), "--params-b", native_params(d),
+        "--replicas", "1",
+    ],
+    "one-probe-replica": lambda d: ["threshold-probe", "--replicas", "1"],
     "negative-sweep-size": lambda d: ["rate-sweep", "--n-grid=-1,1000"],
     "zero-kl-size": lambda d: [
         "kl-probe", "--params-a", native_params(d), "--params-b", native_params(d),
@@ -318,6 +323,8 @@ def test_bad_input_is_a_named_error(capsys, tmp_path, case):
         assert "params-a.json: phi1 must lie in [-1, 1]: phi1=nan" in err
     if case == "negative-sweep-size":
         assert lines == ["error: n_grid must hold positive sizes: -1"]
+    if case.endswith("-replica"):
+        assert lines == ["error: replicas must be >= 2: 1"]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hmm_frontier import (
     DegenerateFitError,
     InfeasiblePairError,
     NoMemberError,
+    SamplerExhaustedError,
     ValidationError,
     derive_seed,
     empirical_triple_law,
@@ -219,6 +220,29 @@ class TestRateSweep:
         rows = rate_sweep(self.box(), (300, 600), 2, 3, resample_truths=True)
         assert [row["error"] for row in rows] == [""] * 4
         assert seeds == [[3, 1, 0], [3, 1, 1]]
+
+    def test_failed_truth_fills_its_replica_rows(self, monkeypatch):
+        # replica 1's draw exhausts the sampler: its rows carry the error,
+        # and the other replicas' rows are fitted
+        def exhausted_for_replica_1(box, seed):
+            if list(seed.entropy) + list(seed.spawn_key) == [3, 1, 1]:
+                raise SamplerExhaustedError("member 0 of 1 needs more than 10000 candidates")
+            return sample_phipsi(box, seed)
+
+        monkeypatch.setattr(experiments, "sample_phipsi", exhausted_for_replica_1)
+        rows = rate_sweep(self.box(), (300, 600), 3, 3, resample_truths=True)
+        assert [(row["n"], row["replica"]) for row in rows] == [
+            (n, rep) for n in (300, 600) for rep in range(3)
+        ]
+        for row in rows:
+            if row["replica"] == 1:
+                assert row["error"] == (
+                    "SamplerExhaustedError: member 0 of 1 needs more than 10000 candidates"
+                )
+                assert all(math.isnan(row[col]) for col in SWEEP_COLUMNS[8:16])
+            else:
+                assert row["error"] == ""
+                assert row["loss_phi2"] >= 0.0
 
     def test_replicas_must_be_positive(self):
         with pytest.raises(ValidationError, match="replicas must be >= 1"):

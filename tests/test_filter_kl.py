@@ -276,18 +276,25 @@ class TestStackedScan:
 
 @pytest.fixture
 def blocks_of(monkeypatch):
-    """The block tests' one seam: ``blocks_of(L)`` cuts every later scan into
-    blocks of L steps (fewer for shorter paths); ``keep_v`` still scans one."""
-
-    rule = filter_kl._block_length
+    """The block tests' one seam: ``blocks_of(L)`` cuts every later
+    ``loglik_batch`` scan into blocks of L steps (fewer for shorter paths)."""
 
     def force(length):
-        monkeypatch.setattr(
-            filter_kl, "_block_length",
-            lambda h, rows, n, keep_v=False: rule(h, rows, n, keep_v) if keep_v else min(length, n),
-        )
+        monkeypatch.setattr(filter_kl, "_block_length", lambda h, rows, n: min(length, n))
 
     return force
+
+
+def nan_for_symbol_3(monkeypatch, entry):
+    """Make coefficient ``entry`` (alpha, beta, gamma, delta) of symbol 3 NaN in every later scan."""
+    coefficients = filter_kl._coefficients
+
+    def patched(pps):
+        coef = coefficients(pps).copy()
+        coef[entry, :, 2] = np.nan
+        return coef
+
+    monkeypatch.setattr(filter_kl, "_coefficients", patched)
 
 
 def scan_pair():
@@ -297,6 +304,25 @@ def scan_pair():
         psi1=[0.36, 0.31, 0.33], psi2=a.psi2,
     )
     return a, b
+
+
+# H hypotheses, R paths and n steps, and the block length `_block_length` picks
+BLOCK_LENGTHS = [
+    (2, 2, 300_000, 256),  # long-path's kl-probe
+    (2, 100, 100_000, 2048),  # probe's hard pair
+    (2, 500, 10_000, 2048),  # probe's psi1 contrast
+    (1, 1, 100_000, 128),  # one path, one hypothesis
+    (2, 2, 10**6, 512),
+    (2, 2, 10**7, 2048),  # the cache bound stops at 2048
+    (2, 500, 100_000, 2048),
+    (2, 2, 2048, 2048),  # short paths: one block
+    (2, 2, 2049, 32),  # 8 L^2 >= n
+    (1, 1023, 100_000, 2048),
+    (1, 1024, 100_000, 100_000),  # wide stacks: one block
+    (2, 512, 100_000, 100_000),
+    (2, 1000, 10_000, 10_000),
+    (2, 2000, 2000, 2000),
+]
 
 
 class TestBlockedScan:
@@ -316,16 +342,13 @@ class TestBlockedScan:
         y = sample_paths(phipsi_to_theta(a), n, rows, [17, rows, n]).observed
         # block edges, and the last two steps: in the shorter last block if there is one
         checkpoints = sorted(cp for cp in {1, length, length + 1, 2048, n - 1, n} if cp <= n)
-        got = filter_kl._v_scan([a, b], y, checkpoints)
-        want = loop_v_scan([a, b], y, checkpoints, keep_v=rows <= 2)
-        for g, w in zip(got[:2], want[:2]):
+        got = loglik_batch([a, b], y, checkpoints)
+        want = loop_v_scan([a, b], y, checkpoints)
+        for g, w in zip(got, want[:2]):
             if length == n:  # one block: the step loop itself
                 np.testing.assert_array_equal(g, w)
             else:
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
-        if rows <= 2:  # keep_v always scans one block
-            for g, w in zip(filter_kl._v_scan([a, b], y, checkpoints, keep_v=True), want):
-                np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize(
         "block, rows, n",
@@ -392,27 +415,13 @@ class TestBlockedScan:
         assert abs(blocked - exact) <= abs(sequential - exact)
 
     @pytest.mark.parametrize(
-        "h, rows, n, keep_v, length",
-        [
-            (2, 2, 300_000, False, 256),  # long-path's kl-probe
-            (2, 100, 100_000, False, 2048),  # probe's hard pair
-            (2, 500, 10_000, False, 2048),  # probe's psi1 contrast
-            (1, 1, 100_000, False, 128),  # one path, one hypothesis
-            (2, 2, 10**6, False, 512),
-            (2, 2, 10**7, False, 2048),  # the cache bound stops at 2048
-            (2, 500, 100_000, False, 2048),
-            (2, 2, 300_000, True, 300_000),  # a kept trajectory: one block
-            (2, 2, 2048, False, 2048),  # short paths: one block
-            (2, 2, 2049, False, 32),  # 8 L^2 >= n
-            (1, 1023, 100_000, False, 2048),
-            (1, 1024, 100_000, False, 100_000),  # wide stacks: one block
-            (2, 512, 100_000, False, 100_000),
-            (2, 1000, 10_000, False, 10_000),
-            (2, 2000, 2000, False, 2000),
-        ],
+        "h, rows, n, length",
+        BLOCK_LENGTHS,
+        # each row keeps its name from when the rule also took keep_v (False in every row)
+        ids=[f"{h}-{rows}-{n}-False-{length}" for h, rows, n, length in BLOCK_LENGTHS],
     )
-    def test_block_length_rule(self, h, rows, n, keep_v, length):
-        assert filter_kl._block_length(h, rows, n, keep_v) == length
+    def test_block_length_rule(self, h, rows, n, length):
+        assert filter_kl._block_length(h, rows, n) == length
 
     def test_every_length_is_accurate_on_a_sticky_chain(self, blocks_of):
         # the rule picks every power of two from 32 to 2048 for R <= 100 and
@@ -447,33 +456,32 @@ class TestBlockedScan:
         # NaN V and fail at their first step, which the scan reaches first
         if block:
             blocks_of(block)
-        coefficients = filter_kl._coefficients
-
-        def nan_for_symbol_3(pps):
-            coef = coefficients(pps).copy()
-            coef[3, :, 2] = np.nan
-            return coef
-
-        monkeypatch.setattr(filter_kl, "_coefficients", nan_for_symbol_3)
+        nan_for_symbol_3(monkeypatch, 3)
         y = np.ones((2, 14), dtype=np.int64)
         y[1, 7:] = 3
         with pytest.raises(NumericalDegeneracyError, match="at step 8$") as err:
             loglik_batch(list(scan_pair()), y)
         assert err.value.step == 8
 
+    def test_v_recursion_raises_at_the_first_bad_step(self, monkeypatch):
+        # a path too long for one block in loglik_batch; v_recursion's one
+        # block meets symbol 3's NaN density first at step 3001
+        nan_for_symbol_3(monkeypatch, 3)
+        a, _ = scan_pair()
+        y = sample_paths(phipsi_to_theta(a), 3 * 2048 + 5, 1, 41).observed[0]
+        y = np.where(y == 3, 1, y)
+        y[[3000, 5000]] = 3
+        assert filter_kl._block_length(1, 1, y.size) < y.size
+        with pytest.raises(NumericalDegeneracyError, match="at step 3001$") as err:
+            v_recursion(a, y)
+        assert err.value.step == 3001
+
     def test_nan_entering_a_block_raises_at_its_first_step(self, blocks_of, monkeypatch):
         # beta is NaN for symbol 3, seen only at step 3, the last of block 0:
         # every block's path from V = 0 has positive densities, but block 1
         # enters at a NaN V, so the recursion first fails at step 4
         blocks_of(3)
-        coefficients = filter_kl._coefficients
-
-        def nan_for_symbol_3(pps):
-            coef = coefficients(pps).copy()
-            coef[1, :, 2] = np.nan
-            return coef
-
-        monkeypatch.setattr(filter_kl, "_coefficients", nan_for_symbol_3)
+        nan_for_symbol_3(monkeypatch, 1)
         y = np.ones((2, 14), dtype=np.int64)
         y[1, 2] = 3
         with pytest.raises(NumericalDegeneracyError, match="at step 4$") as err:
@@ -585,6 +593,12 @@ class TestKL:
         pp = theta_to_phipsi(worked_theta())
         with pytest.raises(ValidationError):
             kl_estimate(pp, pp, n_grid, 10, 1)
+
+    @pytest.mark.parametrize("replicas", [1, 0])
+    def test_replicas_must_be_two_or_more(self, replicas):
+        pp = theta_to_phipsi(worked_theta())
+        with pytest.raises(ValidationError, match=f"^replicas must be >= 2: {replicas}$"):
+            kl_estimate(pp, pp, [50], replicas, 1)
 
     def test_nonpositive_length_refused_before_sampling(self, monkeypatch):
         def failing(*args, **kwargs):
