@@ -16,11 +16,13 @@ The exact likelihood is computed two independent ways:
 Each step is a linear-fractional map of V, so a run of steps composes into
 one 2 x 2 map.  A long path is cut along time into blocks of L steps
 (``_block_length``, from H, R and n), run side by side from V = 0 in one
-pass that composes each block's map and sums its log densities.  The maps
-are chained to give every block its exact entry V, and one log per block
-corrects its sum, so a long path costs about L + n / L Python steps
-instead of n.  With one block (n <= 2048 or H x R >= 1024 columns) the
-scan is the step loop, which ``v_recursion`` always runs.
+pass that composes each block's map and sums its log densities, s symbols
+a Python step through a table of the precomposed maps of every s-tuple
+(``_tuple_width``, from K: s = 6 at K = 3).  The maps are chained to give
+every block its exact entry V, and one log per block corrects its sum, so
+a long path costs about L / s + n / L Python steps instead of n.  With one
+block (n <= 2048) the scan is the step loop, one symbol a step, which
+``v_recursion`` always runs.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -137,15 +139,17 @@ def _coefficients(pps) -> np.ndarray:
 def _block_length(h, rows, n):
     """The V scan's block length for H x R paths of n steps; not part of the seed contract.
 
-    One block, the step loop, runs n <= 2048 steps or h * rows >= 1024
-    columns a step (which outweigh numpy's call overhead).  Else the shortest power
-    of two L with 8 L^2 >= n (L scan steps against n / L chaining steps, each about
-    a quarter as dear) and, up to 2048, at most 2^13 cached columns h*rows*n/L a step.
+    One block, the step loop, runs n <= 2048 steps.  Else the shortest power of
+    two L with 8 L^2 >= n (about L / s tuple steps against n / L chaining steps)
+    and, up to 2048, at most 2^15 cached columns h*rows*n/L a step.  At K = 3
+    (s = 6) that was within about 10 % of the best L at every shape timed, from
+    one path of 1e5 steps to 4000 paths of 3000; one block took 1.8-4x as long
+    on the widest stacks timed (h*rows from 1000 to 8000).
     """
-    if n <= 2048 or h * rows >= 1024:
+    if n <= 2048:
         return n
     length = 1
-    while 8 * length * length < n or (length < 2048 and length << 13 < h * rows * n):
+    while 8 * length * length < n or (length < 2048 and length << 15 < h * rows * n):
         length *= 2
     return length
 
@@ -155,10 +159,11 @@ def _block_scan(coef, y, length, cps=()):
 
     Each step is the map V -> (alpha V + beta) / (gamma V + delta), whose
     denominator is the predictive density, with the four coefficients
-    gathered by the step's symbols from K-long tables, so no R x n float
-    array is built.  ``y`` has passed ``require_symbols`` and keeps its own
-    integer dtype, copied one step's symbols at a time, so a uint8 matrix is
-    never widened.  Time is cut into blocks (the last may be shorter), whose
+    gathered by the step's symbols (blocked: the codes of its s-symbol
+    tuples) from small tables, so no R x n float array is built.  ``y`` has
+    passed ``require_symbols`` and keeps its own integer dtype, read one
+    step's symbols at a time into a buffer of one step's width, so a uint8
+    matrix is never widened.  Time is cut into blocks (the last may be shorter), whose
     maps from ``_compose`` are chained to give each block its exact entry
     V_e (block 0 enters at V_0 = 0, the stationary filter).  The product of
     a block's densities is the lower row of its unnormalized product applied
@@ -166,10 +171,10 @@ def _block_scan(coef, y, length, cps=()):
     log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at its
     step.  The block log-likelihoods are added left to right.  One block
     has no chain and every correction is exactly 1, so it is the plain step
-    loop, bit for bit.  If a blocked pass meets a density from V = 0 or an
-    entry correction that is not positive and finite, the whole path is
-    scanned once more as one block, whose step loop raises at its first bad
-    step or scores the path.
+    loop, bit for bit.  If a blocked pass meets a density from V = 0 below
+    ``LOG_FLOOR`` or an entry correction that is not positive and finite,
+    the whole path is scanned once more as one block, whose step loop raises
+    at its first bad step or scores the path.
     """
     rows, n = y.shape
     h, blocks = coef.shape[1], -(-n // length)
@@ -194,6 +199,27 @@ def _block_scan(coef, y, length, cps=()):
     return sums[:, -1], (ll[:, blocks:] + before[:, js]).transpose(0, 2, 1)
 
 
+def _tuple_width(k):
+    """Symbols a step of a blocked pass takes at K symbols: the largest s with (K+1)^s <= 4096.
+
+    At K = 3 (s = 6) the probe's path sets scored about 3x faster than one
+    symbol a step and 1.3x faster than s = 4.  At K = 8 and 16 one symbol
+    more, past the bound, was faster still; the bound keeps the table to
+    128 KiB per hypothesis.
+    """
+    width = 1
+    while (k + 1) ** (width + 1) <= 4096:
+        width += 1
+    return width
+
+
+def _degeneracy(density, step, blocks):
+    """The scan's error: the step loop's names its step, a blocked pass's its tuple's first."""
+    what = "is not positive" if blocks == 1 else f"is below {LOG_FLOOR} in a blocked pass"
+    msg = f"predictive density {density} {what} at step {step}"
+    return NumericalDegeneracyError(msg, step=step)
+
+
 def _compose(coef, y, length, cps=(), keep_v=False):
     """The step loop: every block of ``length`` steps side by side, each from V = 0.
 
@@ -202,46 +228,79 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     divides it by its (1, 1) entry den = delta + gamma m01, the density of the
     block's path from V = 0.  That entry is then exactly 1 and is not stored,
     and m01 is that path's V, updated by the step loop's own expressions.
-    Each step checks den > 0 and adds its log into the block's sum.  A shorter
-    last block is padded with symbol 0, the identity map, whose step leaves
-    every entry and sum as it is (den = 1), so every block runs the same
-    ``length`` steps.  Returns the sums, m00, m01 and m10 (1 and 0 with one
-    block, which needs neither) as one 4 x H x blocks x R array, the sums and
-    m10 at the checkpoints (2 x H x len(cps) x R), and the V trajectory (one
-    block; None unless ``keep_v``).
+    One block steps one symbol at a time, checks den > 0 and adds its log,
+    floored at ``LOG_FLOOR``, into the sum: the plain step loop.  More blocks
+    step s symbols at a time (``_tuple_width``) through precomposed maps: column
+    ((y1 (K+1) + y2) (K+1) + ...) of a 4 x H x (K+1)^s table holds
+    M(y_s)...M(y1), so den is the product of the tuple's s densities, and
+    one below ``LOG_FLOOR`` (never floored) or NaN fails the pass.  Symbol 0,
+    the identity map, pads a short last tuple and a shorter last block, so
+    every block runs the same steps.  A checkpoint inside a tuple reads its
+    block after the tuple's code with the symbols past it set to 0.  Returns
+    the sums, m00, m01 and m10 (1 and 0 with one block, which needs neither)
+    as one 4 x H x blocks x R array, the sums and m10 at the checkpoints
+    (2 x H x len(cps) x R), and the V trajectory (one block; None unless
+    ``keep_v``).
     """
     rows, n = y.shape
     full, rem = divmod(n, length)
     blocks, tail = full + (rem > 0), full * length
     # a view, block-major like the state below: y is never copied
     ys = y[:, :tail].reshape(rows, full, length).transpose(1, 0, 2)
-    h = coef.shape[1]
+    h, base = coef.shape[1], coef.shape[2] + 1
     table = np.concatenate((np.zeros((4, h, 1)), coef), axis=2)  # column s is symbol s's
-    table[[0, 3], :, 0] = 1.0  # symbol 0, which pads a shorter last block: the identity
+    table[[0, 3], :, 0] = 1.0  # symbol 0, the padding: the identity
+    width = 1 if blocks == 1 else _tuple_width(base - 1)
+    alpha, beta, gamma, delta = table[:, :, None]
+    for _ in range(width - 1):  # column code * (K+1) + s: symbol s's map after code's
+        m00, m01, m10, m11 = table[:, :, :, None]
+        table = np.stack(
+            (alpha * m00 + beta * m10, alpha * m01 + beta * m11,
+             gamma * m00 + delta * m10, gamma * m01 + delta * m11)
+        ).reshape(4, h, -1)
+    # one block's densities need only be positive (>= the least double)
+    floor = LOG_FLOOR if blocks > 1 else np.finfo(float).smallest_subnormal
     # The state is H x (blocks * R), block-major, so every step works on 2-D arrays.
     state = np.zeros((4, h, blocks * rows))  # the sums, m00, m01 and m10
     state[1] = 1.0
     run, a, v, c = state
     at = np.zeros((2, h, len(cps), rows))
     trace = np.empty((h, rows, n)) if keep_v else None
-    reads = {}  # in-block step -> (checkpoint index, its block's columns) read after it
+    # a tuple's first in-block step -> (checkpoint index, its block's columns,
+    # the weight of its last symbol in the code), read after or inside the tuple
+    ends, inside = {}, {}
     for ci, cp in enumerate(cps):
         j, k = divmod(cp - 1, length)
-        reads.setdefault(k, []).append((ci, slice(j * rows, (j + 1) * rows)))
-    idx = np.empty((blocks, rows), np.intp)  # a step's symbols, the tail block's last
-    sym = idx.reshape(-1)
-    for k in range(length):
-        idx[:full] = ys[:, :, k]
-        idx[full:] = y[:, tail + k] if k < rem else 0
-        alpha, beta, gamma, delta = np.take(table, sym, axis=2)
+        cut = base ** (width - 1 - k % width)
+        (ends if cut == 1 else inside).setdefault(k - k % width, []).append(
+            (ci, slice(j * rows, (j + 1) * rows), cut)
+        )
+    idx = np.empty((blocks, rows), np.intp)  # a step's codes, the tail block's last
+    code = idx.reshape(-1)
+    for t in range(0, length, width):
+        idx[:full] = ys[:, :, t]
+        idx[full:] = y[:, tail + t] if t < rem else 0
+        for k in range(t + 1, t + width):  # Horner: the next symbol, or 0 past the block
+            idx *= base
+            if k < length:
+                idx[:full] += ys[:, :, k]
+            if k < rem:
+                idx[full:] += y[:, tail + k]
+        alpha, beta, gamma, delta = np.take(table, code, axis=2)
         den = delta + gamma * v
         low = den.min()
-        if not low > 0.0:  # a NaN density fails too
-            bad = ~(den > 0.0).reshape(h, blocks, rows)
+        if not low >= floor:  # a NaN density fails too
+            bad = ~(den >= floor).reshape(h, blocks, rows)
             j = int(np.argmax(bad.any(axis=(0, 2))))
-            first, step = den.reshape(h, blocks, rows)[:, j][bad[:, j]][0], j * length + k + 1
-            msg = f"predictive density {first} is not positive at step {step}"
-            raise NumericalDegeneracyError(msg, step=step)
+            first = den.reshape(h, blocks, rows)[:, j][bad[:, j]][0]
+            raise _degeneracy(first, j * length + t + 1, blocks)
+        for ci, part, cut in inside.get(t, ()):
+            p = np.take(table, code[part] // cut * cut, axis=2)
+            den_p = p[3] + p[2] * v[:, part]
+            if not den_p.min() >= floor:
+                raise _degeneracy(den_p.min(), cps[ci], blocks)
+            at[0, :, ci] = run[:, part] + np.log(den_p)
+            at[1, :, ci] = (p[2] * a[:, part] + p[3] * c[:, part]) / den_p
         run += np.log(den if low >= LOG_FLOOR else np.maximum(den, LOG_FLOOR))
         if blocks > 1:
             top = alpha * a + beta * c
@@ -253,8 +312,8 @@ def _compose(coef, y, length, cps=(), keep_v=False):
         v += beta
         v /= den
         if keep_v:
-            trace[:, :, k] = v
-        for ci, part in reads.get(k, ()):
+            trace[:, :, t] = v
+        for ci, part, _ in ends.get(t, ()):
             at[:, :, ci] = state[[0, 3], :, part]
     return state.reshape(4, h, blocks, rows), at, trace
 

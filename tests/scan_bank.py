@@ -4,8 +4,10 @@ Criterion 7's pair (a, and b = a with psi1 moved 0.03 along psi2) scores
 paths drawn under a by ``sample_paths(theta_a, n, R, [904, R, n])``:
 ``loglik_batch([a, b], y, [n // 3, n])`` and ``loglik_batch(a, y)`` at
 R x n = 2 x 3e5, 100 x 1e5, 500 x 1e4, 1 x 100,001 and 4000 x 1000, and
-``v_recursion(a, y)`` on one path of n = 10, 5000 and 100,001 steps.  Run
-from the repository root:
+``v_recursion(a, y)`` on one path of n = 10, 5000 and 100,001 steps.  At
+K = 4 and K = 8 a pair of the same shape (psi1 uniform, psi2 along symbols
+1 and 2, b's psi1 moved 0.03 along psi2) scores the same two calls at
+R x n = 20 x 50,000 and 300 x 3000.  Run from the repository root:
 
     PYTHONPATH=src python tests/scan_bank.py > bank.jsonl
     PYTHONPATH=src python tests/scan_bank.py --against bank.jsonl
@@ -14,8 +16,8 @@ The first form prints one JSON line per case: the totals and prefixes of
 ``loglik_batch`` as exact floats, or the log-likelihood of ``v_recursion``
 with a SHA-256 of its V and filter trajectories and the largest |V|.  With
 ``--against FILE`` it prints, for each case, "identical" or the largest
-relative difference from the same case in FILE, and exits 1 when some case
-differs.  The file name keeps pytest from collecting it.
+relative difference from the same case in FILE, or "new" for a case FILE
+lacks, and exits 1 when some case differs.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -34,10 +36,29 @@ A = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=np.full(3, 1.0 / 3.0), psi2
 B = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=A.psi1 + 0.03 * PSI2, psi2=PSI2)
 BATCHES = ((2, 300_000), (100, 100_000), (500, 10_000), (1, 100_001), (4000, 1000))
 TRAJECTORIES = (10, 5000, 100_001)
+WIDE_BATCHES = ((20, 50_000), (300, 3000))
 
 
-def paths(rows, n):
-    return sample_paths(phipsi_to_theta(A), n, rows, [904, rows, n], hidden=False).observed
+def wide_pair(k):
+    """The K-symbol pair of the wider cases."""
+    psi2 = np.r_[1.0, -1.0, np.zeros(k - 2)] / np.sqrt(2.0)
+    a = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.2, psi1=np.full(k, 1.0 / k), psi2=psi2)
+    return a, PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.2, psi1=a.psi1 + 0.03 * psi2, psi2=psi2)
+
+
+def paths(rows, n, a=A):
+    return sample_paths(phipsi_to_theta(a), n, rows, [904, rows, n], hidden=False).observed
+
+
+def batch_record(case, a, b, y):
+    n = y.shape[1]
+    total, prefix = loglik_batch([a, b], y, [n // 3, n])
+    return {
+        "case": case,
+        "total": total.tolist(),
+        "prefix": prefix.tolist(),
+        "total_a": loglik_batch(a, y).tolist(),
+    }
 
 
 def sha256(values) -> str:
@@ -47,14 +68,7 @@ def sha256(values) -> str:
 def run_bank():
     """Yield one record per case, in a fixed order."""
     for rows, n in BATCHES:
-        y = paths(rows, n)
-        total, prefix = loglik_batch([A, B], y, [n // 3, n])
-        yield {
-            "case": f"loglik_batch-{rows}x{n}",
-            "total": total.tolist(),
-            "prefix": prefix.tolist(),
-            "total_a": loglik_batch(A, y).tolist(),
-        }
+        yield batch_record(f"loglik_batch-{rows}x{n}", A, B, paths(rows, n))
     for n in TRAJECTORIES:
         tr = v_recursion(A, paths(1, n)[0])
         yield {
@@ -64,6 +78,10 @@ def run_bank():
             "predfilter_sha256": sha256(tr.predfilter),
             "max_abs_v": float(np.abs(tr.v).max()),
         }
+    for k in (4, 8):
+        a, b = wide_pair(k)
+        for rows, n in WIDE_BATCHES:
+            yield batch_record(f"loglik_batch-k{k}-{rows}x{n}", a, b, paths(rows, n, a))
 
 
 def compare(rec, old) -> str:
@@ -93,8 +111,9 @@ def main(argv=None) -> int:
         if ref is None:
             print(json.dumps(rec), flush=True)
             continue
-        verdict = compare(rec, ref[rec["case"]])
-        differ += verdict != "identical"
+        old = ref.get(rec["case"])
+        verdict = "new" if old is None else compare(rec, old)
+        differ += verdict not in ("identical", "new")
         print(f"{rec['case']}: {verdict}", flush=True)
     if ref is not None:
         print(f"# {differ} of {len(ref)} cases differ", file=sys.stderr)

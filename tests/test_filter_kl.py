@@ -68,16 +68,21 @@ def loop_v_scan(pps, y, checkpoints=(), keep_v=False):
     return loglik, prefix, trace
 
 
-def full_compose(coef, ys):
+def full_compose(coef, ys, width):
     """Reference composition: the full 2 x 2 product of each block's step
-    matrices, divided every step by its (1, 1) entry."""
+    matrices, taken ``width`` steps at a time as the product of those steps'
+    matrices and divided after each by its (1, 1) entry."""
     by_column = coef[[0, 2, 1, 3]]  # the steps' columns (alpha, gamma), (beta, delta)
-    m = np.zeros((2, 2, coef.shape[1], ys.shape[0] * ys.shape[1]))
-    m[0, 0] = m[1, 1] = 1.0
-    for k in range(ys.shape[2] if len(ys) else 0):
-        idx = np.subtract(ys[:, :, k], 1, order="C").ravel()
-        step = np.take(by_column, idx, axis=2)
-        m = step[:2, None] * m[0] + step[2:, None] * m[1]
+    eye = np.zeros((2, 2, coef.shape[1], ys.shape[0] * ys.shape[1]))
+    eye[0, 0] = eye[1, 1] = 1.0
+    m = eye
+    for t in range(0, ys.shape[2] if len(ys) else 0, width):
+        tup = eye
+        for k in range(t, min(t + width, ys.shape[2])):
+            idx = np.subtract(ys[:, :, k], 1, order="C").ravel()
+            step = np.take(by_column, idx, axis=2)
+            tup = step[:2, None] * tup[0] + step[2:, None] * tup[1]
+        m = tup[:, 0, None] * m[0] + tup[:, 1, None] * m[1]
         m /= m[1, 1].copy()
     return m
 
@@ -309,18 +314,18 @@ def scan_pair():
 # H hypotheses, R paths and n steps, and the block length `_block_length` picks
 BLOCK_LENGTHS = [
     (2, 2, 300_000, 256),  # long-path's kl-probe
-    (2, 100, 100_000, 2048),  # probe's hard pair
-    (2, 500, 10_000, 2048),  # probe's psi1 contrast
+    (2, 100, 100_000, 1024),  # probe's hard pair
+    (2, 500, 10_000, 512),  # probe's psi1 contrast
     (1, 1, 100_000, 128),  # one path, one hypothesis
     (2, 2, 10**6, 512),
-    (2, 2, 10**7, 2048),  # the cache bound stops at 2048
-    (2, 500, 100_000, 2048),
+    (2, 2, 10**7, 2048),  # 8 L^2 >= n
+    (2, 500, 100_000, 2048),  # the cache bound stops at 2048
     (2, 2, 2048, 2048),  # short paths: one block
     (2, 2, 2049, 32),  # 8 L^2 >= n
     (1, 1023, 100_000, 2048),
-    (1, 1024, 100_000, 100_000),  # wide stacks: one block
-    (2, 512, 100_000, 100_000),
-    (2, 1000, 10_000, 10_000),
+    (1, 1024, 100_000, 2048),  # wide stacks are blocked too
+    (2, 512, 100_000, 2048),
+    (2, 1000, 10_000, 1024),
     (2, 2000, 2000, 2000),
 ]
 
@@ -328,8 +333,8 @@ BLOCK_LENGTHS = [
 class TestBlockedScan:
     """The time-blocked scan against the step loop it replaces."""
 
-    # B = 2048 steps is the longest one-block path; at the cut two
-    # hypotheses over 512 paths fill 1024 columns a step
+    # B = 2048 steps is the longest one-block path; two hypotheses over
+    # 512 paths fill 1024 columns a step, blocked like fewer
     @pytest.mark.parametrize("block", [None, 3])
     @pytest.mark.parametrize("rows", [1, 2, 511, 512], ids=["1", "2", "cut-1", "cut"])
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 3 * 2048 + 5], ids=["B-1", "B", "B+1", "3B+5"])
@@ -337,7 +342,7 @@ class TestBlockedScan:
         if block:  # tiny paths take many blocks
             blocks_of(block)
         length = filter_kl._block_length(2, rows, n)
-        assert (length == n) == (block is None and (n <= 2048 or rows == 512))
+        assert (length == n) == (block is None and n <= 2048)
         a, b = scan_pair()
         y = sample_paths(phipsi_to_theta(a), n, rows, [17, rows, n]).observed
         # block edges, and the last two steps: in the shorter last block if there is one
@@ -357,17 +362,19 @@ class TestBlockedScan:
     )
     def test_three_entries_are_the_full_product(self, block, rows, n):
         # the (1, 1) entry is exactly 1 after each division, so carrying the
-        # other three is the same arithmetic, bit for bit; a shorter last
-        # block stops after its own steps
+        # other three is the same arithmetic, bit for bit, with each tuple's
+        # map the product of its symbols' maps; a shorter last block stops
+        # after its own steps
         a, b = scan_pair()
         y = sample_paths(phipsi_to_theta(a), n, rows, [29, rows, n]).observed
         coef = filter_kl._coefficients([a, b])
         entries = filter_kl._compose(coef, y, block)[0][1:]
+        width = filter_kl._tuple_width(3)
         full, rem = divmod(n, block)
         ys = y[:, : full * block].reshape(rows, full, block).transpose(1, 0, 2)
-        m = full_compose(coef, ys)
+        m = full_compose(coef, ys, width)
         if rem:
-            m = np.concatenate((m, full_compose(coef, y[None, :, full * block :])), axis=3)
+            m = np.concatenate((m, full_compose(coef, y[None, :, full * block :], width)), axis=3)
         assert np.array_equal(m[1, 1], np.ones(m.shape[2:]))
         for got, want in zip(entries, (m[0, 0], m[0, 1], m[1, 0])):
             assert np.array_equal(got, want.reshape(2, -(-n // block), rows))
@@ -530,6 +537,67 @@ class TestBlockedScan:
         monkeypatch.setattr(filter_kl, "_compose", counting)
         assert np.array_equal(loglik_batch([a], y), loop_v_scan([a], y)[0])
         assert passes == [(9, 3), (9, 9)]
+
+    def test_checkpoint_inside_a_failing_tuple_falls_back(self, blocks_of, monkeypatch):
+        # symbol 3's density is -0.5 from any V, so two in one tuple give a
+        # positive product: only the checkpoint between them sees the first
+        # failure, and the step loop raises there
+        blocks_of(3)
+        coefficients = filter_kl._coefficients
+
+        def negative_symbol_3(pps):
+            coef = coefficients(pps).copy()
+            coef[:, :, 2] = [[1.0], [0.0], [0.0], [-0.5]]
+            return coef
+
+        monkeypatch.setattr(filter_kl, "_coefficients", negative_symbol_3)
+        y = np.ones((1, 9), dtype=np.int64)
+        y[0, 3:5] = 3
+        with pytest.raises(NumericalDegeneracyError, match="at step 4$"):
+            loglik_batch([scan_pair()[0]], y, [4, 9])
+
+    def test_underflowing_tuple_fails_the_blocked_pass(self, monkeypatch):
+        # symbol 1 has a density near 1e-80: each step's passes the floor, but
+        # four in one tuple give a subnormal product below it, so the blocked
+        # pass fails and the step loop, which floors nothing here, scores the path
+        s = 1.0 / np.sqrt(2.0)
+        pp = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=[1e-80, 0.5, 0.5], psi2=[0.0, s, -s])
+        y = sample_paths(phipsi_to_theta(pp), 3000, 3, 43).observed.copy()
+        y[1, 64:68] = 1  # in the first tuple of block 2
+        assert filter_kl._block_length(1, 3, 3000) == 32 and filter_kl._tuple_width(3) == 6
+        compose, passes = filter_kl._compose, []
+
+        def counting(coef, y, length, *args):
+            passes.append(length)
+            return compose(coef, y, length, *args)
+
+        monkeypatch.setattr(filter_kl, "_compose", counting)
+        got = loglik_batch(pp, y, [65, 3000])
+        want = loop_v_scan([pp], y, [65, 3000])
+        assert passes == [32, 3000]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w[0])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 64])
+    def test_checkpoints_inside_tuples(self, k, blocks_of):
+        # every step a checkpoint, so every residue mod s is read, in blocks
+        # of 4 s + 3 steps and in a shorter last block
+        width = filter_kl._tuple_width(k)
+        assert width == {2: 7, 3: 6, 4: 5, 8: 3, 16: 2, 64: 1}[k]
+        rng = np.random.default_rng(k)
+        f0, f1, f2, f3 = 0.5 / k + 0.5 * rng.dirichlet(np.ones(k), 4)
+        pps = [
+            theta_to_phipsi(ThetaParams(p=0.2, q=0.3, f0=f0, f1=f1)),
+            theta_to_phipsi(ThetaParams(p=0.4, q=0.1, f0=f2, f1=f3)),
+        ]
+        blocks_of(4 * width + 3)
+        n = 3 * (4 * width + 3) + 2 * width + 1
+        y = sample_paths(phipsi_to_theta(pps[0]), n, 3, [47, k]).observed
+        checkpoints = range(1, n + 1)
+        got = loglik_batch(pps, y, checkpoints)
+        want = loop_v_scan(pps, y, checkpoints)
+        for g, w in zip(got, want[:2]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 class TestKL:
