@@ -7,6 +7,14 @@ the path of sweep row ``(n, rep)`` uses ``[seed, n, rep]``), so results are
 reproducible regardless of scheduling.  Within one ``sample_paths`` seed the
 stream is: ``count`` initial uniforms, then ``(n-1)*count`` transition
 uniforms time-major, then ``count*n`` emission uniforms path-major.
+
+``sample_paths`` runs no loop over time steps.  Each transition step flips,
+resets or keeps the previous state, and every reset sets the same bit
+[q < p], so a block of steps is two compares, one running xor and one
+running maximum (``_scan_block``).  A symbol counts the inner cdf
+thresholds of its state that its uniform reaches; both states' compares
+are made and the state bit selects one, so no threshold is gathered per
+symbol (``_emit``).
 """
 
 from __future__ import annotations
@@ -103,9 +111,11 @@ def sample_paths(
     states as uint8, symbols as the narrowest unsigned type that holds K
     (uint8 for K <= 255).  The hidden chain is scanned in blocks of time
     steps (``_scan_block``) into the symbol array, whose dtype also holds
-    0/1.  Each emission block then reads its own states and overwrites them
-    with its symbols: 1 plus the number of inner thresholds of its state's
-    emission cdf that its uniform reaches.  Neither loop runs per time step.
+    0/1.  Each emission draw then reads its own states as a bool mask and
+    overwrites them with its symbols (``_emit``): 1 plus the number of
+    inner thresholds of its state's emission cdf that its uniform reaches.
+    Neither loop runs per time step; the emission loop runs once per inner
+    threshold, K - 1 times per draw.
 
     With ``hidden=True`` one uint8 copy of the states is taken before the
     emissions, so the sample costs 2 bytes per symbol; with ``hidden=False``
@@ -120,11 +130,15 @@ def sample_paths(
         states = observed.astype(np.uint8) if hidden else None
         return PathSample(hidden=states, observed=observed)
     observed[:, 0] = rng.random(count) < stationary_dist(theta.p, theta.q)[1]
+    lo, hi = sorted((theta.p, theta.q))
     steps = max(1, _DRAW_BLOCK // count)
+    # the code 2k + c of a reset at step k of a draw, c = [q < p] the bit every reset sets
+    codes = 2 * np.arange(1, min(steps, n - 1) + 1, dtype=np.int32)[:, None]
+    codes += theta.q < theta.p
     for k0 in range(1, n, steps):
         k1 = min(k0 + steps, n)
         u = rng.random((k1 - k0, count))
-        observed[:, k0:k1] = _scan_block(u, observed[:, k0 - 1], theta).T
+        observed[:, k0:k1] = _scan_block(u, observed[:, k0 - 1], lo, hi, codes[:k1 - k0]).T
         del u  # free this draw before the next one is made
     states = observed.astype(np.uint8) if hidden else None
     # inner thresholds only: u < 1 never reaches the last cdf entry
@@ -132,36 +146,59 @@ def sample_paths(
     flat = observed.reshape(-1)  # a view whose order is the emission stream's
     for i in range(0, flat.size, _DRAW_BLOCK):
         y = flat[i:i + _DRAW_BLOCK]
-        h = y.copy()  # the block's states, which y.fill(1) erases
-        u = rng.random(h.size)
-        y.fill(1)
-        for t in thresholds.T:
-            y += u >= t[h]
+        state = y.astype(bool)  # the draw's states, which _emit overwrites
+        _emit(rng.random(y.size), state, thresholds, y)
     return PathSample(hidden=states, observed=observed)
 
 
-def _scan_block(u, state, theta):
+def _scan_block(u, state, lo, hi, codes):
     """Hidden states (0/1 ints) for one (steps, count) block of transition uniforms.
 
     Step k sends the previous bit x to ``u < p`` if x = 0 and to ``u >= q``
-    if x = 1, so it is one of three maps of x: a constant (where both agree),
-    the identity or the flip.  The state after step k is the bit set at the
-    last reset r <= k (or the carried ``state``) xor the flips in (r, k].
-    Each reset is encoded as 2r + (bit xor flips up to r), so one running
-    maximum carries both the last reset and its bit.
+    if x = 1.  With lo = min(p, q) and hi = max(p, q) that is three maps of
+    x: the flip where u < lo, a reset where lo <= u < hi, and the identity
+    where u >= hi.  Every reset sets the same bit c = [q < p].  The state
+    after step k is the bit set at the last reset r <= k (or the carried
+    ``state``) xor the flips in (r, k].  ``codes`` holds 2k + c for each
+    step k = 1..steps; at a reset, its code xor the flips up to r is
+    2r + (c xor flips up to r), so one running maximum carries both the
+    last reset and its bit.
     """
-    to1 = u < theta.p
-    stay1 = u >= theta.q
-    parity = np.logical_xor.accumulate(to1 > stay1, axis=0)
-    enc = (to1 ^ parity).astype(np.int32)
-    enc += 2 * np.arange(1, len(u) + 1, dtype=np.int32)[:, None]
-    enc *= to1 == stay1
+    flip = u < lo
+    reset = u < hi
+    reset ^= flip  # lo <= u < hi: u < lo implies u < hi
+    parity = np.logical_xor.accumulate(flip, axis=0)
+    enc = codes ^ parity
+    enc *= reset
     # the carried bit (0 or 1) stands until the block's first reset (2r >= 2)
     np.maximum(enc[0], state, out=enc[0])
     np.maximum.accumulate(enc, axis=0, out=enc)
     enc &= 1
     enc ^= parity
     return enc
+
+
+def _emit(u, state, thresholds, out):
+    """Write one emission draw's symbols into ``out``.
+
+    The symbol of uniform ``u[i]`` is 1 plus the number of inner cdf
+    thresholds of its state (row ``state[i]`` of the (2, K-1)
+    ``thresholds``) that it reaches, ``u[i] >= t``.  So a uniform equal to
+    a cdf entry reaches it, and a zero-mass symbol, whose entry repeats the
+    one before, is never drawn.  For each threshold both states' compares
+    are made and the state bit selects one in place, so nothing is gathered
+    per symbol.
+    """
+    reached = np.empty(u.shape, dtype=bool)
+    other = np.empty(u.shape, dtype=bool)
+    out.fill(1)
+    for t0, t1 in thresholds.T:
+        np.greater_equal(u, t0, out=reached)
+        np.greater_equal(u, t1, out=other)
+        other ^= reached
+        other &= state
+        reached ^= other  # u >= t1 where the state is 1, u >= t0 where it is 0
+        out += reached
 
 
 def require_symbols(observed, K: int) -> np.ndarray:

@@ -7,17 +7,22 @@ R x n = 2 x 3e5, 100 x 1e5, 500 x 1e4, 1 x 100,001 and 4000 x 1000, and
 ``v_recursion(a, y)`` on one path of n = 10, 5000 and 100,001 steps.  At
 K = 4 and K = 8 a pair of the same shape (psi1 uniform, psi2 along symbols
 1 and 2, b's psi1 moved 0.03 along psi2) scores the same two calls at
-R x n = 20 x 50,000 and 300 x 3000.  Run from the repository root:
+R x n = 20 x 50,000 and 300 x 3000.  The sampler cases hash the bytes of
+``sample_paths(theta, n, R, [905, R, n])`` (symbols, and states where
+kept) under a's theta at R x n = 100 x 1e5, 500 x 1e4 and, with states,
+1 x 3e5, under the K = 8 pair's a at 20 x 50,000, and at K = 300 (uint16
+symbols, with states) at 10 x 10,000.  Run from the repository root:
 
     PYTHONPATH=src python tests/scan_bank.py > bank.jsonl
     PYTHONPATH=src python tests/scan_bank.py --against bank.jsonl
 
 The first form prints one JSON line per case: the totals and prefixes of
 ``loglik_batch`` as exact floats, or the log-likelihood of ``v_recursion``
-with a SHA-256 of its V and filter trajectories and the largest |V|.  With
-``--against FILE`` it prints, for each case, "identical" or the largest
-relative difference from the same case in FILE, or "new" for a case FILE
-lacks, and exits 1 when some case differs.  The file name keeps pytest from collecting it.
+with a SHA-256 of its V and filter trajectories and the largest |V|, or a
+SHA-256 of the sampled bytes.  With ``--against FILE`` it prints, for each
+case, "identical" or the largest relative difference from the same case in
+FILE (and which hashes differ), or "new" for a case FILE lacks, and exits 1
+when some case differs.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ import sys
 
 import numpy as np
 
-from hmm_frontier import PhiPsiParams, loglik_batch, phipsi_to_theta, sample_paths, v_recursion
+from hmm_frontier import (
+    PhiPsiParams,
+    ThetaParams,
+    loglik_batch,
+    phipsi_to_theta,
+    sample_paths,
+    v_recursion,
+)
 
 PSI2 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 A = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=np.full(3, 1.0 / 3.0), psi2=PSI2)
@@ -37,6 +49,8 @@ B = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=A.psi1 + 0.03 * PSI2, psi2=
 BATCHES = ((2, 300_000), (100, 100_000), (500, 10_000), (1, 100_001), (4000, 1000))
 TRAJECTORIES = (10, 5000, 100_001)
 WIDE_BATCHES = ((20, 50_000), (300, 3000))
+# (R, n, keep states) of the sampler cases under a's theta
+SAMPLES = ((100, 100_000, False), (500, 10_000, False), (1, 300_000, True))
 
 
 def wide_pair(k):
@@ -48,6 +62,20 @@ def wide_pair(k):
 
 def paths(rows, n, a=A):
     return sample_paths(phipsi_to_theta(a), n, rows, [904, rows, n], hidden=False).observed
+
+
+def wide_theta(k):
+    """A K-symbol theta with every mass distinct (K = 300 needs uint16 symbols)."""
+    f0 = np.linspace(1.0, 2.0, k)
+    return ThetaParams(p=0.2, q=0.3, f0=f0 / f0.sum(), f1=f0[::-1] / f0.sum())
+
+
+def sample_record(case, theta, rows, n, hidden):
+    ps = sample_paths(theta, n, rows, [905, rows, n], hidden=hidden)
+    rec = {"case": case, "observed_sha256": hashlib.sha256(ps.observed.tobytes()).hexdigest()}
+    if hidden:
+        rec["hidden_sha256"] = hashlib.sha256(ps.hidden.tobytes()).hexdigest()
+    return rec
 
 
 def batch_record(case, a, b, y):
@@ -82,6 +110,12 @@ def run_bank():
         a, b = wide_pair(k)
         for rows, n in WIDE_BATCHES:
             yield batch_record(f"loglik_batch-k{k}-{rows}x{n}", a, b, paths(rows, n, a))
+    theta_a = phipsi_to_theta(A)
+    for rows, n, hidden in SAMPLES:
+        yield sample_record(f"sample_paths-{rows}x{n}", theta_a, rows, n, hidden)
+    theta_k8 = phipsi_to_theta(wide_pair(8)[0])
+    yield sample_record("sample_paths-k8-20x50000", theta_k8, 20, 50_000, False)
+    yield sample_record("sample_paths-k300-10x10000", wide_theta(300), 10, 10_000, True)
 
 
 def compare(rec, old) -> str:

@@ -60,6 +60,9 @@ ORACLE_THETAS = {
     "p>q,K=2": ThetaParams(p=0.7, q=0.1, f0=[0.6, 0.4], f1=[0.1, 0.9]),
     "p=q,K=4,zero": ThetaParams(p=0.4, q=0.4, f0=[0.25, 0.0, 0.5, 0.25], f1=[0.1, 0.0, 0.5, 0.4]),
     "p=q=1": ThetaParams(p=1.0, q=1.0, f0=[0.5, 0.3, 0.2], f1=[0.2, 0.3, 0.5]),
+    # the reset interval [min(p, q), max(p, q)) ends at 1, setting 1 and 0
+    "p=1,q<1": ThetaParams(p=1.0, q=0.35, f0=[0.5, 0.3, 0.2], f1=[0.2, 0.3, 0.5]),
+    "p<1,q=1": ThetaParams(p=0.25, q=1.0, f0=[0.6, 0.4], f1=[0.1, 0.9]),
 }
 ORACLE_SEEDS = {"int": 20211, "SeedSequence": np.random.SeedSequence([5, 17, 3])}
 
@@ -192,6 +195,15 @@ class TestBitIdentity:
         shapes.append((2 * B + 3, 3))
         assert_matches_loop(theta, shapes, seed)
 
+    def test_same_bytes_at_the_default_budget(self):
+        # 100 paths at the real budget: three transition draws of 2621, 2621 and
+        # 2 steps, and emission draws that end inside rows 49 and 99
+        count = 100
+        steps = simulate._DRAW_BLOCK // count
+        n = 2 * steps + 3
+        assert count * n > 2 * simulate._DRAW_BLOCK
+        assert_matches_loop(ORACLE_THETAS["p>q,K=2"], [(n, count)], ORACLE_SEEDS["int"])
+
     @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
     def test_uint16_symbols_match_the_step_loop(self, monkeypatch, seed):
         B = 1024
@@ -212,6 +224,42 @@ class TestBitIdentity:
         shapes = [(n, count) for n in (1, 2, 3, 4, 11, 50) for count in (1, 7)]
         for theta in ORACLE_THETAS.values():
             assert_matches_loop(theta, shapes, seed)
+
+
+class TestTieRules:
+    @pytest.mark.parametrize("p, q", [(0.25, 0.5), (0.5, 0.25), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0)])
+    def test_a_transition_uniform_on_p_or_q(self, p, q):
+        # steps whose uniforms lie on p and q or just below them, from both states
+        ties = np.array([0.0, p, q, np.nextafter(p, 0.0), np.nextafter(q, 0.0), np.nextafter(1.0, 0.0)])
+        u = np.random.default_rng(3).choice(ties[ties < 1.0], size=(40, 6))
+        start = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
+        codes = 2 * np.arange(1, 41, dtype=np.int32)[:, None] + (q < p)
+        got = simulate._scan_block(u, start, min(p, q), max(p, q), codes)
+        # the step loop's rule: 0 moves to 1 when u < p, 1 stays when u >= q
+        x, want = start, []
+        for row in u:
+            x = np.where(x == 1, row >= q, row < p)
+            want.append(x)
+        assert np.array_equal(got, want)
+
+    def test_a_uniform_on_a_cdf_entry_reaches_it(self):
+        # dyadic masses, so each cdf entry is exact; symbol 2 has no mass in state 0,
+        # symbol 3 none in state 1
+        f0, f1 = [0.25, 0.0, 0.5, 0.25], [0.125, 0.375, 0.0, 0.5]
+        cdf = np.vstack([np.cumsum(f0), np.cumsum(f1)])
+        assert cdf.tolist() == [[0.25, 0.25, 0.75, 1.0], [0.125, 0.5, 0.5, 1.0]]
+        entries = np.array([0.125, 0.25, 0.5, 0.75])
+        u = np.concatenate([[0.0], entries, np.nextafter(entries, 0.0), [np.nextafter(1.0, 0.0)]])
+        u = np.tile(u, 2)
+        state = np.repeat([False, True], u.size // 2)
+        out = np.zeros(u.size, dtype=np.uint8)
+        simulate._emit(u, state, cdf[:, :-1], out)
+        # the step loop's rule: 1 plus the number of cdf entries u reaches
+        want = [np.searchsorted(cdf[int(x)], v, side="right") + 1 for v, x in zip(u, state)]
+        assert out.tolist() == want
+        # 0, the four entries, the value just below each, and the largest u < 1
+        assert out[~state].tolist() == [1, 1, 3, 3, 4, 1, 1, 3, 3, 4]
+        assert out[state].tolist() == [1, 2, 2, 4, 4, 1, 2, 2, 4, 4]
 
 
 def test_long_emission_draw_is_bounded_by_the_budget():
