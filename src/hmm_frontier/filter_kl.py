@@ -22,7 +22,8 @@ a Python step through a table of the precomposed maps of every s-tuple
 every block its exact entry V, and one log per block corrects its sum, so
 a long path costs about L / s + n / L Python steps instead of n.  With one
 block (n <= 2048) the scan is the step loop, one symbol a step, which
-``v_recursion`` always runs.
+``v_recursion`` always runs.  The step loop takes each density's exact log
+and rescans a path whose blocked pass meets a density below ``LOG_FLOOR``.
 
 The two log-likelihoods agree to high accuracy; the V form makes the
 near-i.i.d. regime numerically transparent (V stays O(m1)).  On top of
@@ -84,9 +85,7 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
     P_0 is the stationary law; each step conditions on Y_k and propagates
     through the transition matrix.  The k = 1 step uses P(X_1 = x) directly.
     """
-    y = require_symbols(observed, theta.f0.size)
-    if y.ndim != 1 or y.size == 0:
-        raise ValidationError("observed must be a nonempty vector")
+    y = require_symbols(observed, theta.f0.size, 1)
     p, q = theta.p, theta.q
     f = np.vstack([theta.f0, theta.f1])  # f[x, symbol-1]
     pred = stationary_dist(p, q)
@@ -102,7 +101,7 @@ def forward_filter(theta: ThetaParams, observed) -> FilterTrace:
             # condition on an impossible event: freeze the filter uniformly
             post = np.array([0.5, 0.5])
         else:
-            loglik += np.log(max(mass, LOG_FLOOR))
+            loglik += np.log(mass)
             post = like / mass
         pred = np.array(
             [post[0] * (1.0 - p) + post[1] * q, post[0] * p + post[1] * (1.0 - q)]
@@ -123,9 +122,11 @@ def require_positive_emissions(pp: PhiPsiParams) -> None:
 def _coefficients(pps) -> np.ndarray:
     """The 4 x H x K table of the V maps' alpha, beta, gamma and delta, by symbol.
 
-    ValidationError unless the hypotheses share K and every emission of each
-    is strictly positive, so a caller can refuse them before drawing paths.
+    ValidationError unless there are hypotheses, they share K and each has only
+    positive emissions, so a caller can refuse them before drawing paths.
     """
+    if not pps:
+        raise ValidationError("no hypotheses to score")
     require_same_k(pps)
     tables = []
     for pp in pps:
@@ -169,20 +170,21 @@ def _block_scan(coef, y, length, cps=()):
     a block's densities is the lower row of its unnormalized product applied
     to (V_e, 1), so its log-likelihood is its sum from V = 0 plus
     log(m10 V_e + 1), and a checkpoint takes its block's sum and m10 at its
-    step.  The block log-likelihoods are added left to right.  One block
-    has no chain and every correction is exactly 1, so it is the plain step
-    loop, bit for bit.  If a blocked pass meets a density from V = 0 below
+    step.  The block log-likelihoods are added left to right.  One block is
+    the plain step loop, whose sums and checkpoint sums are returned as they
+    are.  If a blocked pass meets a tuple's density from V = 0 below
     ``LOG_FLOOR`` or an entry correction that is not positive and finite,
     the whole path is scanned once more as one block, whose step loop raises
     at its first bad step or scores the path.
     """
     rows, n = y.shape
     h, blocks = coef.shape[1], -(-n // length)
+    if blocks == 1:  # no chain to run, and no correction to add
+        (total, *_), at, _ = _compose(coef, y, n, cps)
+        return total[:, 0], at[0].transpose(0, 2, 1)
     try:
         (total, m00, m01, m10), at, _ = _compose(coef, y, length, cps)
     except NumericalDegeneracyError:
-        if blocks == 1:
-            raise
         return _block_scan(coef, y, n, cps)
     ve = np.zeros((blocks, h, rows))  # block-major, so each step is a plain view
     for u, out, a, b, c in zip(ve, ve[1:], *(m.swapaxes(0, 1) for m in (m00, m01, m10))):
@@ -191,7 +193,7 @@ def _block_scan(coef, y, length, cps=()):
     js = [(cp - 1) // length for cp in cps]
     corr = np.concatenate((m10, at[1]), axis=1) * ve[list(range(blocks)) + js].swapaxes(0, 1)
     corr += 1.0
-    if not ((corr > 0.0) & (corr < np.inf)).all():  # a NaN V_e fails too; one block's are 1
+    if not ((corr > 0.0) & (corr < np.inf)).all():  # a NaN V_e fails too
         return _block_scan(coef, y, n, cps)
     ll = np.concatenate((total, at[0]), axis=1) + np.log(corr)
     sums = np.cumsum(ll[:, :blocks], axis=1)
@@ -213,10 +215,13 @@ def _tuple_width(k):
     return width
 
 
-def _degeneracy(density, step, blocks):
-    """The scan's error: the step loop's names its step, a blocked pass's its tuple's first."""
-    what = "is not positive" if blocks == 1 else f"is below {LOG_FLOOR} in a blocked pass"
-    msg = f"predictive density {density} {what} at step {step}"
+def _degeneracy(den, step, blocks):
+    """The error at ``step`` with densities ``den``: the step loop's names the step
+    and its first bad density; a blocked pass's, which ``_block_scan`` catches, neither."""
+    if blocks > 1:
+        return NumericalDegeneracyError(f"a density is below {LOG_FLOOR} in a blocked pass")
+    first = den[~(den > 0.0)][0]
+    msg = f"predictive density {first} is not positive at step {step}"
     return NumericalDegeneracyError(msg, step=step)
 
 
@@ -228,19 +233,20 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     divides it by its (1, 1) entry den = delta + gamma m01, the density of the
     block's path from V = 0.  That entry is then exactly 1 and is not stored,
     and m01 is that path's V, updated by the step loop's own expressions.
-    One block steps one symbol at a time, checks den > 0 and adds its log,
-    floored at ``LOG_FLOOR``, into the sum: the plain step loop.  More blocks
-    step s symbols at a time (``_tuple_width``) through precomposed maps: column
+    One block steps one symbol at a time, checks den > 0 and adds its exact
+    log into the sum: the plain step loop.  More blocks step s symbols at a
+    time (``_tuple_width``) through precomposed maps: column
     ((y1 (K+1) + y2) (K+1) + ...) of a 4 x H x (K+1)^s table holds
     M(y_s)...M(y1), so den is the product of the tuple's s densities, and
-    one below ``LOG_FLOOR`` (never floored) or NaN fails the pass.  Symbol 0,
-    the identity map, pads a short last tuple and a shorter last block, so
-    every block runs the same steps.  A checkpoint inside a tuple reads its
-    block after the tuple's code with the symbols past it set to 0.  Returns
-    the sums, m00, m01 and m10 (1 and 0 with one block, which needs neither)
-    as one 4 x H x blocks x R array, the sums and m10 at the checkpoints
-    (2 x H x len(cps) x R), and the V trajectory (one block; None unless
-    ``keep_v``).
+    one below ``LOG_FLOOR`` (a subnormal product has lost precision) or NaN
+    fails the pass.  Symbol 0, the identity map, pads a short last tuple and
+    a shorter last block, so every block runs the same steps.  A checkpoint
+    reads its block after its tuple's code with the symbols past it set to
+    0: at a tuple's end, the step's own arithmetic.  Returns the sums, m00,
+    m01 and m10 (1 and 0 with one block, which needs neither) as one
+    4 x H x blocks x R array, the sums and m10 at the checkpoints
+    (2 x H x len(cps) x R; one block's m10 is unused), and the V trajectory
+    (one block; None unless ``keep_v``).
     """
     rows, n = y.shape
     full, rem = divmod(n, length)
@@ -267,13 +273,12 @@ def _compose(coef, y, length, cps=(), keep_v=False):
     at = np.zeros((2, h, len(cps), rows))
     trace = np.empty((h, rows, n)) if keep_v else None
     # a tuple's first in-block step -> (checkpoint index, its block's columns,
-    # the weight of its last symbol in the code), read after or inside the tuple
-    ends, inside = {}, {}
+    # the weight of the checkpoint's symbol in the tuple's code)
+    reads = {}
     for ci, cp in enumerate(cps):
         j, k = divmod(cp - 1, length)
-        cut = base ** (width - 1 - k % width)
-        (ends if cut == 1 else inside).setdefault(k - k % width, []).append(
-            (ci, slice(j * rows, (j + 1) * rows), cut)
+        reads.setdefault(k - k % width, []).append(
+            (ci, slice(j * rows, (j + 1) * rows), base ** (width - 1 - k % width))
         )
     idx = np.empty((blocks, rows), np.intp)  # a step's codes, the tail block's last
     code = idx.reshape(-1)
@@ -288,20 +293,16 @@ def _compose(coef, y, length, cps=(), keep_v=False):
                 idx[full:] += y[:, tail + k]
         alpha, beta, gamma, delta = np.take(table, code, axis=2)
         den = delta + gamma * v
-        low = den.min()
-        if not low >= floor:  # a NaN density fails too
-            bad = ~(den >= floor).reshape(h, blocks, rows)
-            j = int(np.argmax(bad.any(axis=(0, 2))))
-            first = den.reshape(h, blocks, rows)[:, j][bad[:, j]][0]
-            raise _degeneracy(first, j * length + t + 1, blocks)
-        for ci, part, cut in inside.get(t, ()):
+        if not den.min() >= floor:  # a NaN density fails too
+            raise _degeneracy(den, t + 1, blocks)
+        for ci, part, cut in reads.get(t, ()):
             p = np.take(table, code[part] // cut * cut, axis=2)
             den_p = p[3] + p[2] * v[:, part]
-            if not den_p.min() >= floor:
-                raise _degeneracy(den_p.min(), cps[ci], blocks)
+            if not den_p.min() >= floor:  # a tuple's first symbols: a blocked pass only
+                raise _degeneracy(den_p, cps[ci], blocks)
             at[0, :, ci] = run[:, part] + np.log(den_p)
             at[1, :, ci] = (p[2] * a[:, part] + p[3] * c[:, part]) / den_p
-        run += np.log(den if low >= LOG_FLOOR else np.maximum(den, LOG_FLOOR))
+        run += np.log(den)
         if blocks > 1:
             top = alpha * a + beta * c
             c *= delta
@@ -313,8 +314,6 @@ def _compose(coef, y, length, cps=(), keep_v=False):
         v /= den
         if keep_v:
             trace[:, :, t] = v
-        for ci, part, _ in ends.get(t, ()):
-            at[:, :, ci] = state[[0, 3], :, part]
     return state.reshape(4, h, blocks, rows), at, trace
 
 
@@ -331,9 +330,7 @@ def v_recursion(pp: PhiPsiParams, observed) -> FilterTrace:
     is raised (this cannot happen when emissions are bounded away from zero
     and |phi2| is small).  The path runs as ``_compose``'s one block, V kept.
     """
-    y = require_symbols(observed, pp.psi1.size)
-    if y.ndim != 1 or y.size == 0:
-        raise ValidationError("observed must be a nonempty vector")
+    y = require_symbols(observed, pp.psi1.size, 1)
     state, _, v = _compose(_coefficients([pp]), y[None, :], y.size, keep_v=True)
     v = v[0, 0]
     if pp.phi3 > 0.0:
@@ -355,13 +352,11 @@ def loglik_batch(pp, observed: np.ndarray, checkpoints=None):
     """
     single = isinstance(pp, PhiPsiParams)
     pps = [pp] if single else pp
-    y = require_symbols(observed, pps[0].psi1.size)
-    if y.ndim != 2 or y.shape[1] == 0:
-        raise ValidationError("observed must be a nonempty R x n matrix")
+    coef = _coefficients(pps)
+    y = require_symbols(observed, coef.shape[2], 2)
     cps = () if checkpoints is None else increasing_grid(checkpoints, "checkpoints")
     if cps and cps[-1] > y.shape[1]:
         raise ValidationError(f"checkpoints must lie in [1, {y.shape[1]}]")
-    coef = _coefficients(pps)
     loglik, prefix = _block_scan(coef, y, _block_length(coef.shape[1], *y.shape), cps)
     if single:
         loglik, prefix = loglik[0], prefix[0]

@@ -126,8 +126,8 @@ class PhiPsiParams:
     Its one rule set, ``_phipsi_rules``, which NaN and +-inf fail, is also the
     box sampler's test; ``box_member`` builds a point that must lie in a box.
 
-    ``degenerate`` marks the i.i.d. limit f0 = f1 (phi3 = 0), where psi2 is
-    not identified and is filled with a canonical placeholder direction.
+    ``degenerate`` is phi3 = 0, the i.i.d. limit f0 = f1, where psi2 is not
+    identified; ``theta_to_phipsi`` then fills in a canonical placeholder.
     """
 
     phi1: float
@@ -135,7 +135,6 @@ class PhiPsiParams:
     phi3: float
     psi1: np.ndarray
     psi2: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         psi1 = _vector(self.psi1, "psi1")
@@ -150,6 +149,10 @@ class PhiPsiParams:
     @property
     def phi(self) -> np.ndarray:
         return np.array([self.phi1, self.phi2, self.phi3])
+
+    @property
+    def degenerate(self) -> bool:
+        return self.phi3 == 0.0
 
     def to_json(self) -> str:
         return json.dumps(
@@ -170,7 +173,6 @@ class PhiPsiParams:
             phi3=d["phi"][2],
             psi1=d["psi1"],
             psi2=d["psi2"],
-            degenerate=bool(d.get("degenerate", False)),
         )
 
 
@@ -293,7 +295,7 @@ def stationary_dist(p: float, q: float) -> np.ndarray:
 
 
 def theta_to_phipsi(theta: ThetaParams) -> PhiPsiParams:
-    """Forward change of variables; flags the degenerate case f0 = f1."""
+    """Forward change of variables; at f0 = f1 (phi3 = 0) psi2 is ``fallback_direction``."""
     p, q = theta.p, theta.q
     diff = theta.f0 - theta.f1
     # exact difference of two densities sums to 0; remove cancellation noise
@@ -303,16 +305,8 @@ def theta_to_phipsi(theta: ThetaParams) -> PhiPsiParams:
     phi1 = (q - p) / (p + q)
     phi2 = 1.0 - p - q
     psi1 = (q * theta.f0 + p * theta.f1) / (p + q)
-    if phi3 == 0.0:
-        return PhiPsiParams(
-            phi1=phi1,
-            phi2=phi2,
-            phi3=0.0,
-            psi1=psi1,
-            psi2=fallback_direction(theta.f0.size),
-            degenerate=True,
-        )
-    return PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=diff / phi3)
+    psi2 = fallback_direction(theta.f0.size) if phi3 == 0.0 else diff / phi3
+    return PhiPsiParams(phi1=phi1, phi2=phi2, phi3=phi3, psi1=psi1, psi2=psi2)
 
 
 def phipsi_to_theta(pp: PhiPsiParams) -> ThetaParams:
@@ -333,7 +327,6 @@ def switch_labels(pp: PhiPsiParams) -> PhiPsiParams:
         phi3=pp.phi3,
         psi1=pp.psi1,
         psi2=-pp.psi2,
-        degenerate=pp.degenerate,
     )
 
 

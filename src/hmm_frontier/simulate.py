@@ -201,16 +201,18 @@ def _emit(u, state, thresholds, out):
         out += reached
 
 
-def require_symbols(observed, K: int) -> np.ndarray:
-    """``observed`` as an integer array of symbols in {1..K}, not copied if it is one.
+def require_symbols(observed, K: int, ndim: int) -> np.ndarray:
+    """``observed`` as a nonempty ``ndim``-axis integer array of symbols in {1..K}.
 
-    ValidationError for a non-integer dtype (a float symbol is refused, not
-    truncated) or an entry outside {1..K}.  Callers check this before any
+    The one check of a symbol array, which copies none: ValidationError for
+    another shape, no symbol, a non-integer dtype (a float symbol is refused,
+    not truncated) or an entry outside {1..K}.  Callers check this before any
     ``symbol - 1``, which would wrap a 0 in an unsigned dtype.
     """
     y = np.asarray(observed)
-    if not y.size:
-        return y
+    if y.ndim != ndim or not y.size:
+        shape = "vector" if ndim == 1 else "R x n matrix"
+        raise ValidationError(f"observed must be a nonempty {shape}, got shape {y.shape}")
     if y.dtype.kind not in "iu":
         raise ValidationError(f"observed symbols must be integers, got dtype {y.dtype}")
     if not (y.min() >= 1 and y.max() <= K):
@@ -224,9 +226,7 @@ def empirical_triple_law(observed, K: int) -> TripleLaw:
     The divisor is n, not n - 2, so the total mass is (n-2)/n exactly;
     downstream distance computations never renormalize.
     """
-    y = require_symbols(observed, K)
-    if y.ndim != 1:
-        raise ValidationError("observed must be a vector of symbols")
+    y = require_symbols(observed, K, 1)
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")

@@ -58,14 +58,6 @@ class TripleLaw:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
-
-    def distance(self, other: "TripleLaw") -> float:
-        """Euclidean (Frobenius) distance between the two tensors."""
-        return float(np.linalg.norm(self.probs - other.probs))
-
 
 @dataclass(frozen=True)
 class MomentVector:

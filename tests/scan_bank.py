@@ -3,7 +3,10 @@
 Criterion 7's pair (a, and b = a with psi1 moved 0.03 along psi2) scores
 paths drawn under a by ``sample_paths(theta_a, n, R, [904, R, n])``:
 ``loglik_batch([a, b], y, [n // 3, n])`` and ``loglik_batch(a, y)`` at
-R x n = 2 x 3e5, 100 x 1e5, 500 x 1e4, 1 x 100,001 and 4000 x 1000, and
+R x n = 2 x 3e5, 100 x 1e5, 500 x 1e4, 1 x 100,001 and 4000 x 1000,
+``loglik_batch([a, b], y, range(997, n + 1, 997))`` at 2 x 3e5 (blocks of
+256 steps, 6 symbols a step, so its 300 checkpoints fall at every offset
+within a step), and
 ``v_recursion(a, y)`` on one path of n = 10, 5000 and 100,001 steps.  At
 K = 4 and K = 8 a pair of the same shape (psi1 uniform, psi2 along symbols
 1 and 2, b's psi1 moved 0.03 along psi2) scores the same two calls at
@@ -47,6 +50,8 @@ PSI2 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
 A = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=np.full(3, 1.0 / 3.0), psi2=PSI2)
 B = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=A.psi1 + 0.03 * PSI2, psi2=PSI2)
 BATCHES = ((2, 300_000), (100, 100_000), (500, 10_000), (1, 100_001), (4000, 1000))
+# (R, n, every): a checkpoint every 997 steps
+DENSE = (2, 300_000, 997)
 TRAJECTORIES = (10, 5000, 100_001)
 WIDE_BATCHES = ((20, 50_000), (300, 3000))
 # (R, n, keep states) of the sampler cases under a's theta
@@ -97,6 +102,13 @@ def run_bank():
     """Yield one record per case, in a fixed order."""
     for rows, n in BATCHES:
         yield batch_record(f"loglik_batch-{rows}x{n}", A, B, paths(rows, n))
+    rows, n, every = DENSE
+    total, prefix = loglik_batch([A, B], paths(rows, n), range(every, n + 1, every))
+    yield {
+        "case": f"loglik_batch-{rows}x{n}-every-{every}",
+        "total": total.tolist(),
+        "prefix": prefix.tolist(),
+    }
     for n in TRAJECTORIES:
         tr = v_recursion(A, paths(1, n)[0])
         yield {

@@ -124,7 +124,7 @@ def test_criterion_04_empirical_concentration_slope(capsys):
         batch = sample_paths(th, n, 200, derive_seed(104, n))
         for i in range(200):
             phat = empirical_triple_law(batch.observed[i], 3)
-            rows.append({"n": n, "loss": phat.distance(exact)})
+            rows.append({"n": n, "loss": float(np.linalg.norm(phat.probs - exact.probs))})
     slope, _, _ = slope_fit(rows, "loss")
     report(
         capsys, 4, -0.6 <= slope <= -0.4,

@@ -74,7 +74,7 @@ class TestMomentInit:
         t = triple_law_phipsi(pp)
         init, _ = moment_init(t, worked_box())
         np.testing.assert_allclose(
-            t.probs.sum(axis=(1, 2)), init.psi1 * t.total_mass, atol=1e-10
+            t.probs.sum(axis=(1, 2)), init.psi1 * t.probs.sum(), atol=1e-10
         )
 
 

@@ -58,7 +58,7 @@ def loop_v_scan(pps, y, checkpoints=(), keep_v=False):
         alpha, beta, gamma, delta = np.take(coef, y[:, k] - 1, axis=2)
         den = delta + gamma * v
         assert np.all(den > 0.0)
-        loglik = loglik + np.log(np.maximum(den, filter_kl.LOG_FLOOR))
+        loglik = loglik + np.log(den)
         v = (alpha * v + beta) / den
         if keep_v:
             trace[:, :, k] = v
@@ -231,6 +231,15 @@ class TestVRecursion:
         batch = sample_paths(th, 50, 3, 11)
         with pytest.raises(ValidationError):
             loglik_batch(theta_to_phipsi(th), batch.observed, checkpoints=checkpoints)
+
+    def test_no_paths_and_no_hypotheses_are_refused(self):
+        # a zero-path matrix reached numpy's reduction of an empty array, and
+        # an empty hypothesis list an IndexError
+        a, _ = scan_pair()
+        with pytest.raises(ValidationError, match="nonempty R x n matrix"):
+            loglik_batch(a, np.empty((0, 10), np.uint8))
+        with pytest.raises(ValidationError, match="no hypotheses"):
+            loglik_batch([], np.ones((2, 10), np.uint8))
 
     def test_first_step_checkpoint(self):
         th = worked_theta()
@@ -516,10 +525,12 @@ class TestBlockedScan:
         return a, y
 
     def test_block_failing_alone_falls_back_to_the_step_loop(self, blocks_of, monkeypatch):
-        # the path is scored by the step loop instead
+        # the path is scored by the step loop instead; the blocked pass's own
+        # error, which the scan always catches, names no step
         a, y = self.spurious_failure(blocks_of, monkeypatch)
-        with pytest.raises(NumericalDegeneracyError, match="at step 4$"):
+        with pytest.raises(NumericalDegeneracyError, match="in a blocked pass$") as err:
             filter_kl._compose(filter_kl._coefficients([a]), y, 3)
+        assert err.value.step is None
         got = loglik_batch([a], y, [5, 9])
         want = loop_v_scan([a], y, [5, 9])
         for g, w in zip(got, want):
@@ -559,7 +570,7 @@ class TestBlockedScan:
     def test_underflowing_tuple_fails_the_blocked_pass(self, monkeypatch):
         # symbol 1 has a density near 1e-80: each step's passes the floor, but
         # four in one tuple give a subnormal product below it, so the blocked
-        # pass fails and the step loop, which floors nothing here, scores the path
+        # pass fails and the step loop, which floors nothing, scores the path
         s = 1.0 / np.sqrt(2.0)
         pp = PhiPsiParams(phi1=0.2, phi2=0.05, phi3=0.4, psi1=[1e-80, 0.5, 0.5], psi2=[0.0, s, -s])
         y = sample_paths(phipsi_to_theta(pp), 3000, 3, 43).observed.copy()
@@ -577,6 +588,34 @@ class TestBlockedScan:
         assert passes == [32, 3000]
         for g, w in zip(got, want):
             assert np.array_equal(g, w[0])
+
+    def test_subnormal_density_is_scored_at_its_log(self, blocks_of):
+        # symbol 1 has psi2 = 0, so its density is psi1(1) from any V and it
+        # tells nothing of the state: a path through it scores log psi1(1) plus
+        # a part that psi1(1) does not change (0.5 - eps is 0.5 at both eps).
+        # Every scan took a density below 1e-300 at log 1e-300, 23.03 too high.
+        s = 1.0 / np.sqrt(2.0)
+        tiny, small = (
+            PhiPsiParams(0.2, 0.05, 0.4, psi1=[eps, 0.5, 0.5 - eps], psi2=[0.0, s, -s])
+            for eps in (1e-310, 1e-200)
+        )
+        y = sample_paths(phipsi_to_theta(small), 300, 2, 53).observed.copy()
+        y[:, 100] = 1
+        want = math.log(1e-310) - math.log(1e-200)
+
+        def scores(pp):
+            th = phipsi_to_theta(pp)
+            return np.array([
+                loglik_batch(pp, y),
+                [v_recursion(pp, row).loglik for row in y],
+                [forward_filter(th, row).loglik for row in y],
+            ])
+
+        one_block = scores(tiny) - scores(small)
+        blocks_of(3)  # the blocked pass fails at step 101, and one block scores the path
+        blocked = loglik_batch(tiny, y) - loglik_batch(small, y)
+        np.testing.assert_allclose(one_block, want, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(blocked, want, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 16, 64])
     def test_checkpoints_inside_tuples(self, k, blocks_of):

@@ -70,6 +70,16 @@ class TestThetaToPhiPsi:
         assert pp.phi3 == 0.0
         np.testing.assert_allclose(pp.psi1, f, atol=1e-15)
 
+    def test_degenerate_is_read_off_phi3(self):
+        # a flag set by hand once made a point with phi3 > 0 serialize as degenerate
+        pp = theta_to_phipsi(worked_theta())
+        with pytest.raises(TypeError):
+            PhiPsiParams(pp.phi1, pp.phi2, pp.phi3, pp.psi1, pp.psi2, degenerate=True)
+        flat = PhiPsiParams(pp.phi1, pp.phi2, 0.0, pp.psi1, pp.psi2)
+        assert flat.degenerate and not switch_labels(pp).degenerate
+        assert json.loads(flat.to_json())["degenerate"] is True
+        assert PhiPsiParams.from_json(flat.to_json()).degenerate
+
     def test_boundary_p_q_one(self):
         pp = theta_to_phipsi(ThetaParams(p=1.0, q=1.0, f0=[0.6, 0.4], f1=[0.4, 0.6]))
         assert pp.phi1 == 0.0
