@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -83,7 +84,7 @@ def _seed(text: str) -> int:
 def _read(path: str, parse):
     """``parse`` the open file; any failure is a ValidationError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     except (OSError, ValueError, LookupError, TypeError, ValidationError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -103,7 +104,9 @@ def _write(out_path, text: str) -> None:
 
 
 def _write_json(out_path, record: dict) -> None:
-    _write(out_path, json.dumps(record, indent=2) + "\n")
+    """``record`` as indented JSON; a value JSON cannot encode is written as its ``to_json``."""
+    text = json.dumps(record, indent=2, default=lambda v: json.loads(v.to_json()))
+    _write(out_path, text + "\n")
 
 
 def _config_tokens(fh, dests) -> list:
@@ -290,20 +293,8 @@ def _run(args) -> None:
         theta, fit = estimate_theta(
             observed, _box_from(args), random_starts=args.starts, seed=args.seed
         )
-        _write_json(
-            args.out,
-            {
-                "theta": json.loads(theta.to_json()),
-                "estimate": json.loads(fit.estimate.to_json()),
-                "objective": fit.objective,
-                "grid_floor": fit.grid_floor,
-                "starts": fit.starts,
-                "converged": fit.converged,
-                "init_fallback": fit.init_fallback,
-                "nfev": fit.nfev,
-                "best_start": fit.best_start,
-            },
-        )
+        fields = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)}
+        _write_json(args.out, {"theta": theta, **fields})
     elif cmd == "rate-sweep":
         rows = rate_sweep(
             _box_from(args), args.n_grid, args.replicas, args.seed,

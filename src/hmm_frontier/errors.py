@@ -57,3 +57,18 @@ class DegenerateProbeError(FrontierError):
 
 class DegenerateFitError(FrontierError):
     """A regression had no usable points (all losses zero or nonfinite)."""
+
+
+__all__ = [
+    "FrontierError",
+    "ValidationError",
+    "DegenerateChainError",
+    "NoMemberError",
+    "SamplerExhaustedError",
+    "InsufficientDataError",
+    "NonInvertibleMomentError",
+    "NumericalDegeneracyError",
+    "InfeasiblePairError",
+    "DegenerateProbeError",
+    "DegenerateFitError",
+]

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -145,10 +145,10 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
     )
 
 
+_FIT_COLUMNS = (*(f"loss_{f.name}" for f in fields(LossRecord)), "objective")
 SWEEP_COLUMNS = (
     "n", "replica", "seed", "delta", "epsilon", "zeta", "L", "K",
-    "loss_phi1", "loss_phi2", "loss_phi3", "loss_psi1", "loss_psi2",
-    "loss_pq", "loss_f", "objective", "wall_ms", "error",
+    *_FIT_COLUMNS, "wall_ms", "error",
 )
 
 
@@ -180,7 +180,7 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
             row = {
                 "n": n, "replica": rep, "seed": seed_int,
                 "delta": box.delta, "epsilon": box.epsilon, "zeta": box.zeta,
-                "L": box.L, "K": box.K, "error": "",
+                "L": box.L, "K": box.K, "error": "", **dict.fromkeys(_FIT_COLUMNS, math.nan),
             }
             t0 = time.perf_counter()
             try:
@@ -191,15 +191,9 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
                 phat = empirical_triple_law(path.observed[0], box.K)
                 fit = min_distance_fit(phat, box)
                 rec = losses(fit.estimate, truth_r)
-                row.update(
-                    loss_phi1=rec.phi1, loss_phi2=rec.phi2, loss_phi3=rec.phi3,
-                    loss_psi1=rec.psi1, loss_psi2=rec.psi2,
-                    loss_pq=rec.pq, loss_f=rec.f, objective=fit.objective,
-                )
+                row.update(zip(_FIT_COLUMNS, (*astuple(rec), fit.objective)))
             except FrontierError as exc:
                 row["error"] = f"{type(exc).__name__}: {exc}"
-                for col in SWEEP_COLUMNS[8:16]:
-                    row[col] = math.nan
             row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
             rows.append(row)
     return rows

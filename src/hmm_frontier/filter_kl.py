@@ -55,9 +55,13 @@ LOG_FLOOR = 1e-300
 
 
 def increasing_grid(values, name: str) -> tuple:
-    """``values`` as a tuple of sizes; ValidationError unless nonempty, strictly
-    increasing and positive, so a bad grid is refused before any work."""
-    grid = tuple(int(v) for v in values)
+    """``values`` as a tuple of sizes; ValidationError unless integers (not bools),
+    nonempty, strictly increasing and positive, so a bad grid is refused before any work."""
+    grid = tuple(values)
+    for v in grid:
+        if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
+            raise ValidationError(f"{name} must hold integer sizes: {v}")
+    grid = tuple(int(v) for v in grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be nonempty and strictly increasing")
     if grid[0] < 1:

@@ -532,3 +532,20 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
 def sample_phipsi(box: ConstraintBox, seed) -> PhiPsiParams:
     """Random member of the box: member 0 of ``sample_members(box, 1, seed)``."""
     return sample_members(box, 1, seed).member(0)
+
+
+__all__ = [
+    "ThetaParams",
+    "PhiPsiParams",
+    "r_of_phi",
+    "ConstraintBox",
+    "stationary_dist",
+    "theta_to_phipsi",
+    "phipsi_to_theta",
+    "switch_labels",
+    "canonicalize",
+    "exists_witness",
+    "MemberSample",
+    "sample_members",
+    "sample_phipsi",
+]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmm_frontier import ThetaParams, estimate_theta, theta_to_phipsi
+from hmm_frontier import FitResult, ThetaParams, estimate_theta, theta_to_phipsi
 from hmm_frontier.cli import build_parser, cli_main
 from hmm_frontier.params import fallback_direction
 
@@ -72,6 +73,13 @@ class TestEstimate:
         assert result["best_start"] in {"moment", "flip", "witness", "random-0"}
         assert result["nfev"] > result["starts"]
         assert 0 < result["theta"]["p"] <= 1
+
+    def test_record_is_theta_then_every_fit_result_field(self, capsys, tmp_path):
+        obs = write(tmp_path, "obs.txt", "1\n2\n3\n2\n1\n" * 40)
+        code, out, _ = run(capsys, "estimate", "--input", obs, "--starts", "0")
+        assert code == 0
+        fields = [f.name for f in dataclasses.fields(FitResult)]
+        assert list(json.loads(out)) == ["theta", *fields]
 
     def test_reads_csv_input(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
@@ -444,6 +452,7 @@ READER_CORPUS = {
     "error-late": "x,y\n" + _xy([1, 2, 3] * 3000) + "0,z\n",
     "signs-and-space": "+1\n 2 \n-1\n",
     "nul-byte": "1\n\x00\n",
+    "bom": "\ufeff1\n3\n2\n",
 }
 
 
@@ -461,6 +470,31 @@ def test_reader_matches_the_line_reader(tmp_path, name):
         except cli.ValidationError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_utf8_bom_is_not_data(capsys, tmp_path):
+    # each reader took the BOM for a character: the --input symbol '\ufeff1'
+    # was no integer, and a params or config file no JSON
+    import hmm_frontier.cli as cli
+
+    def pair(name, text):
+        plain = tmp_path / name
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / f"bom-{name}"
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        return str(plain), str(bom)
+
+    for reader in (cli._observations, line_reader_observations):
+        assert cli._read(pair("obs.txt", "1\n3\n2\n")[1], reader).tolist() == [1, 3, 2]
+    outputs = []
+    for params in pair("native.json", Path(native_params(tmp_path)).read_text()):
+        outputs.append(run(
+            capsys, "kl-probe", "--params-a", params, "--params-b", native_params(tmp_path),
+            "--n-grid", "20", "--replicas", "4",
+        ))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+    outputs = [run(capsys, "simulate", "--config", cfg) for cfg in pair("c.json", '{"n": 3}')]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_reader_reports_a_bad_byte_where_the_line_reader_did(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -11,6 +12,7 @@ from hmm_frontier import (
     ConstraintBox,
     DegenerateFitError,
     InfeasiblePairError,
+    LossRecord,
     NoMemberError,
     SamplerExhaustedError,
     ValidationError,
@@ -259,6 +261,35 @@ class TestRateSweep:
             rate_sweep(self.box(), n_grid, 1, 1)
         assert sampled == []
 
+    @pytest.mark.parametrize("bad", [100.7, True])
+    def test_grid_must_hold_integers(self, monkeypatch, bad):
+        # int() truncated them: [100.7] fitted n = 100 and wrote n 100
+        sampled = count_calls(monkeypatch, "sample_paths")
+        with pytest.raises(ValidationError, match=f"^n_grid must hold integer sizes: {bad}$"):
+            rate_sweep(self.box(), [bad, 1000], 1, 0)
+        assert sampled == []
+
+    def test_fit_columns_are_the_loss_record_fields(self, monkeypatch):
+        names = [f.name for f in dataclasses.fields(LossRecord)]
+        fit_columns = [f"loss_{name}" for name in names] + ["objective"]
+        assert [c for c in SWEEP_COLUMNS if c.startswith("loss_")] == fit_columns[:-1]
+        at = SWEEP_COLUMNS.index("objective")
+        assert list(SWEEP_COLUMNS[at - len(names) : at + 1]) == fit_columns
+
+        fits = []
+
+        def failing_at_second_n(phat, box):
+            if fits:
+                raise ValidationError("no feasible candidate found")
+            fits.append(min_distance_fit(phat, box))
+            return fits[0]
+
+        monkeypatch.setattr(experiments, "min_distance_fit", failing_at_second_n)
+        good, bad = rate_sweep(self.box(), (500, 1000), 1, 7)
+        rec = losses(fits[0].estimate, sample_phipsi(self.box(), derive_seed(7, 0)))
+        assert [good[c] for c in fit_columns] == [*dataclasses.astuple(rec), fits[0].objective]
+        assert all(math.isnan(bad[c]) for c in fit_columns)
+
     def test_failed_row_fills_the_error_column(self, monkeypatch):
         calls = []
 
@@ -336,6 +367,13 @@ class TestThresholdProbe:
         probe = threshold_probe("phi1_phi3", probe_box(), 1000, 0.0, 100, 21)
         assert 0.4 <= probe.test_error <= 0.6
         assert abs(probe.kl_mean) <= 3 * probe.kl_stderr + 1e-12
+
+    def test_fractional_n_is_refused(self, monkeypatch):
+        # int() truncated it: n = 300.7 built the pair at 300.7 and drew 300-symbol paths
+        sampled = count_calls(monkeypatch, "sample_paths")
+        with pytest.raises(ValidationError, match="^n_grid must hold integer sizes: 300.7$"):
+            threshold_probe("psi1", probe_box(), 300.7, 1.0, 4, 1)
+        assert sampled == []
 
     def test_distinguishable_pair(self):
         probe = threshold_probe("psi1", probe_box(), 10**4, 1.0, 100, 22)

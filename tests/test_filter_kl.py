@@ -224,13 +224,23 @@ class TestVRecursion:
             )
             assert prefix[i, 1] == pytest.approx(full[i], abs=1e-12)
 
-    @pytest.mark.parametrize("checkpoints", [[50, 10], [10, 10], [0, 10], [60], [10, 51], []])
+    @pytest.mark.parametrize(
+        "checkpoints", [[50, 10], [10, 10], [0, 10], [60], [10, 51], [], [2.9, 10], [True, 10]]
+    )
     def test_bad_checkpoints_raise(self, checkpoints):
-        # unsorted, repeated or out-of-range lengths used to leave np.empty garbage
+        # unsorted, repeated or out-of-range lengths used to leave np.empty garbage,
+        # and int() truncated [2.9, 10] to the prefix at 2 and [True, 10] to the one at 1
         th = worked_theta()
         batch = sample_paths(th, 50, 3, 11)
         with pytest.raises(ValidationError):
             loglik_batch(theta_to_phipsi(th), batch.observed, checkpoints=checkpoints)
+
+    def test_numpy_integer_checkpoints_are_sizes(self):
+        batch = sample_paths(worked_theta(), 10, 2, 11)
+        pp = theta_to_phipsi(worked_theta())
+        got = loglik_batch(pp, batch.observed, np.array([3, 10]))
+        want = loglik_batch(pp, batch.observed, [3, 10])
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_no_paths_and_no_hypotheses_are_refused(self):
         # a zero-path matrix reached numpy's reduction of an empty array, and
