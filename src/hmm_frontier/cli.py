@@ -103,10 +103,16 @@ def _write(out_path, text: str) -> None:
         raise ValidationError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _write_json(out_path, record: dict) -> None:
-    """``record`` as indented JSON; a value JSON cannot encode is written as its ``to_json``."""
-    text = json.dumps(record, indent=2, default=lambda v: json.loads(v.to_json()))
-    _write(out_path, text + "\n")
+def _fields(value) -> dict:
+    """A value JSON cannot encode: its ``to_json`` if it has one, else its fields in order."""
+    if hasattr(value, "to_json"):
+        return json.loads(value.to_json())
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+def _write_json(out_path, record) -> None:
+    """``record``, a dict or a result dataclass, as indented JSON (see ``_fields``)."""
+    _write(out_path, json.dumps(record, indent=2, default=_fields) + "\n")
 
 
 def _config_tokens(fh, dests) -> list:
@@ -293,8 +299,7 @@ def _run(args) -> None:
         theta, fit = estimate_theta(
             observed, _box_from(args), random_starts=args.starts, seed=args.seed
         )
-        fields = {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)}
-        _write_json(args.out, {"theta": theta, **fields})
+        _write_json(args.out, {"theta": theta, **_fields(fit)})
     elif cmd == "rate-sweep":
         rows = rate_sweep(
             _box_from(args), args.n_grid, args.replicas, args.seed,
@@ -318,37 +323,14 @@ def _run(args) -> None:
             lines.append(f"{n},{d!r},{bound!r},{kl.mean!r},{kl.stderr!r},{ratio!r}")
         _write(args.out, "\n".join(lines) + "\n")
     elif cmd == "equiv-probe":
-        summary = equivalence_ratio_probe(_box_from(args), args.pairs, args.seed)
-        _write_json(
-            args.out,
-            {
-                "min_ratio": summary.min_ratio,
-                "max_ratio": summary.max_ratio,
-                "spread": summary.spread,
-                "pairs_used": summary.pairs_used,
-                "pairs_skipped": summary.pairs_skipped,
-                "candidates": summary.candidates,
-            },
-        )
+        _write_json(args.out, equivalence_ratio_probe(_box_from(args), args.pairs, args.seed))
     elif cmd == "lb-pair":
-        pair = lower_bound_pair(args.kind, args.n, _box_from(args), args.c)
-        _write(args.out, pair.to_json() + "\n")
+        _write_json(args.out, lower_bound_pair(args.kind, args.n, _box_from(args), args.c))
     elif cmd == "threshold-probe":
         probe = threshold_probe(
             args.kind, _box_from(args), args.n, args.c, args.replicas, args.seed
         )
-        _write_json(
-            args.out,
-            {
-                "kind": probe.kind,
-                "n": probe.n,
-                "c": probe.c,
-                "rho": probe.rho_ab,
-                "kl_mean": probe.kl_mean,
-                "kl_stderr": probe.kl_stderr,
-                "test_error": probe.test_error,
-            },
-        )
+        _write_json(args.out, probe)
 
 
 def cli_main(argv=None) -> int:

@@ -50,6 +50,7 @@ from .params import (
     fallback_direction,
     leading_sign,
     phipsi_to_theta,
+    require_size,
     sample_phipsi,
     switch_labels,
 )
@@ -348,8 +349,7 @@ def min_distance_fits(
     canonical (phi1, phi2, phi3).  A target's result does not depend on the
     other targets in ``phats``.
     """
-    if random_starts < 0:
-        raise ValidationError(f"random_starts must be >= 0: {random_starts}")
+    random_starts = require_size(random_starts, "random_starts", 0)
     witness = exists_witness(box)  # raises NoMemberError on an empty box
     if not phats:
         return []

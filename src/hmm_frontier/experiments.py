@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import astuple, dataclass, fields
@@ -32,6 +31,7 @@ from .params import (
     exists_witness,
     phipsi_to_theta,
     r_of_phi,
+    require_size,
     sample_phipsi,
 )
 from .simulate import derive_seed, empirical_triple_law, sample_paths
@@ -44,28 +44,13 @@ PAIR_KINDS = ("phi1_phi3", "phi2", "psi1", "psi2")
 class HypothesisPair:
     """Two nearly indistinguishable parameters with their separation record."""
 
-    a: PhiPsiParams
-    b: PhiPsiParams
     kind: str
     R: float
     S: float
+    rho: float
+    a: PhiPsiParams
+    b: PhiPsiParams
     separation: LossRecord
-    rho_ab: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "R": self.R,
-                "S": self.S,
-                "rho": self.rho_ab,
-                "a": json.loads(self.a.to_json()),
-                "b": json.loads(self.b.to_json()),
-                "separation": {
-                    k: getattr(self.separation, k) for k in ("phi1", "phi2", "phi3", "psi1", "psi2")
-                },
-            }
-        )
 
 
 def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> HypothesisPair:
@@ -79,8 +64,7 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
     """
     if kind not in PAIR_KINDS:
         raise ValidationError(f"unknown pair kind {kind!r}")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = require_size(n, "n", 1)
     if not 0.0 <= c < math.inf:
         raise ValidationError(f"c must be finite and >= 0: {c}")
     if not box.compatibility_ok:
@@ -139,10 +123,7 @@ def lower_bound_pair(kind: str, n: int, box: ConstraintBox, c: float) -> Hypothe
         gap = abs(r_of_phi(a.phi) - r_of_phi(b.phi))
         if gap > 1e-12:
             raise InfeasiblePairError(f"r-equality violated by {gap:.3e}")
-    return HypothesisPair(
-        a=a, b=b, kind=kind, R=R, S=S,
-        separation=losses(b, a), rho_ab=rho(a, b),
-    )
+    return HypothesisPair(kind=kind, R=R, S=S, rho=rho(a, b), a=a, b=b, separation=losses(b, a))
 
 
 _FIT_COLUMNS = (*(f"loss_{f.name}" for f in fields(LossRecord)), "objective")
@@ -162,8 +143,7 @@ def rate_sweep(box: ConstraintBox, n_grid, replicas: int, seed, *, resample_trut
     failed draw among them, fill the error column and the sweep continues.
     """
     n_grid = increasing_grid(n_grid, "n_grid")
-    if replicas < 1:
-        raise ValidationError(f"replicas must be >= 1: {replicas}")
+    replicas = require_size(replicas, "replicas", 1)
     if resample_truths:
         truths = []
         for rep in range(replicas):
@@ -243,7 +223,7 @@ class ThresholdProbe:
     kind: str
     n: int
     c: float
-    rho_ab: float
+    rho: float
     kl_mean: float
     kl_stderr: float
     test_error: float
@@ -261,6 +241,7 @@ def threshold_probe(
     ``derive_seed(seed, 3)``), and reports the average error rate with the
     MC KL estimate read off the label-0 paths, drawn under ``a``.
     """
+    n = require_size(n, "n", 1)  # the record holds the int
     pair = lower_bound_pair(kind, n, box, c)
     rng = np.random.default_rng(derive_seed(seed, 3))
     errors = 0
@@ -271,7 +252,7 @@ def threshold_probe(
         pick_b = (diff < 0) | ((diff == 0) & (rng.random(replicas) < 0.5))
         errors += int(np.sum(pick_b != bool(label)))
     return ThresholdProbe(
-        kind=kind, n=n, c=c, rho_ab=pair.rho_ab,
+        kind=kind, n=n, c=c, rho=pair.rho,
         kl_mean=kl.mean, kl_stderr=kl.stderr,
         test_error=errors / (2.0 * replicas),
         separation=pair.separation,

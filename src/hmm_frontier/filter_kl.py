@@ -45,6 +45,7 @@ from .params import (
     phipsi_to_theta,
     r_of_phi,
     require_same_k,
+    require_size,
     stationary_dist,
     theta_to_phipsi,
 )
@@ -55,13 +56,10 @@ LOG_FLOOR = 1e-300
 
 
 def increasing_grid(values, name: str) -> tuple:
-    """``values`` as a tuple of sizes; ValidationError unless integers (not bools),
-    nonempty, strictly increasing and positive, so a bad grid is refused before any work."""
-    grid = tuple(values)
-    for v in grid:
-        if isinstance(v, (bool, np.bool_)) or not float(v).is_integer():
-            raise ValidationError(f"{name} must hold integer sizes: {v}")
-    grid = tuple(int(v) for v in grid)
+    """``values`` as a tuple of sizes; ValidationError unless each entry passes
+    ``require_size`` and the grid is nonempty, strictly increasing and positive,
+    so a bad grid is refused before any work."""
+    grid = tuple(require_size(v, f"{name} entry") for v in values)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be nonempty and strictly increasing")
     if grid[0] < 1:
@@ -385,8 +383,7 @@ def llr_paths(a: PhiPsiParams, b: PhiPsiParams, truth, lengths, replicas: int, s
 
     Column j scores the length-``lengths[j]`` prefixes of the same paths.
     """
-    if replicas < 2:
-        raise ValidationError(f"replicas must be >= 2: {replicas}")
+    replicas = require_size(replicas, "replicas", 2)
     lengths = increasing_grid(lengths, "n_grid")
     _coefficients([a, b])  # refuse a zero emission before drawing the paths
     paths = sample_paths(phipsi_to_theta(truth), lengths[-1], replicas, seed, hidden=False)

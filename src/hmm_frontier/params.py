@@ -176,6 +176,17 @@ class PhiPsiParams:
         )
 
 
+def require_size(value, name: str, least=None) -> int:
+    """``value`` as an int, the rule of every size and count argument: integers,
+    numpy integers and integral floats pass; bools, NaN, other values and values
+    below ``least`` (when given) raise a ValidationError."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+        raise ValidationError(f"{name} must be an integer: {value}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}: {value}")
+    return int(value)
+
+
 def require_same_k(pps) -> None:
     """ValidationError unless the frontier points ``pps`` share one alphabet size K."""
     sizes = sorted({pp.psi1.size for pp in pps})
@@ -491,8 +502,7 @@ def sample_members(box: ConstraintBox, count: int, seed) -> MemberSample:
     Raises NoMemberError on an empty box, and SamplerExhaustedError when one
     member needs more than ``_MAX_REJECTIONS`` candidates.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1: {count}")
+    count = require_size(count, "count", 1)
     exists_witness(box)  # raises NoMemberError on an empty box
     rng = np.random.default_rng(seed)
     parts = []

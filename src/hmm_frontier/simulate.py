@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
-from .params import ThetaParams, stationary_dist
+from .params import ThetaParams, require_size, stationary_dist
 from .triple_law import TripleLaw
 
 
@@ -122,8 +122,7 @@ def sample_paths(
     ``PathSample.hidden`` is None and the sample costs 1 byte per symbol
     for K <= 255.  The uniforms and the symbols are the same either way.
     """
-    if n < 0 or count < 0:
-        raise ValidationError("n and count must be >= 0")
+    n, count = require_size(n, "n", 0), require_size(count, "count", 0)
     rng = np.random.default_rng(seed)
     observed = np.empty((count, n), dtype=np.min_scalar_type(theta.f0.size))
     if n == 0 or count == 0:

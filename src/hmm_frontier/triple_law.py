@@ -31,6 +31,7 @@ from .params import (
     ThetaParams,
     r_of_phi,
     require_same_k,
+    require_size,
     sample_members,
     stationary_dist,
 )
@@ -175,17 +176,14 @@ def rho(a: PhiPsiParams, b: PhiPsiParams) -> float:
 
 @dataclass(frozen=True)
 class RatioProbeSummary:
-    """Empirical range of ||Delta p3|| / rho over randomly sampled pairs."""
+    """Empirical range of ||Delta p3|| / rho over random pairs; ``spread`` is max / min."""
 
     min_ratio: float
     max_ratio: float
+    spread: float
     pairs_used: int
     pairs_skipped: int
     candidates: int
-
-    @property
-    def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
 
 
 def equivalence_ratio_probe(
@@ -199,8 +197,7 @@ def equivalence_ratio_probe(
     Pairs with rho = 0 (e.g. label-switched copies) are skipped; if every
     pair degenerates a DegenerateProbeError is raised.
     """
-    if pair_count < 1:
-        raise ValidationError("pair_count must be >= 1")
+    pair_count = require_size(pair_count, "pair_count", 1)
     sample = sample_members(box, 2 * pair_count, seed)
     coords = (sample.phi1, sample.phi2, sample.phi3, sample.psi1, sample.psi2)
     cells = (slice(None), None, None, None)
@@ -216,9 +213,11 @@ def equivalence_ratio_probe(
     if not used.any():
         raise DegenerateProbeError("all sampled pairs had rho = 0")
     ratios = dist[used] / d[used]
+    lo, hi = float(ratios.min()), float(ratios.max())
     return RatioProbeSummary(
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
+        min_ratio=lo,
+        max_ratio=hi,
+        spread=hi / lo,
         pairs_used=int(used.sum()),
         pairs_skipped=int((~used).sum()),
         candidates=sample.candidates,

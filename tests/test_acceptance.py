@@ -203,9 +203,9 @@ def test_criterion_08_unlearnability_threshold(capsys):
     report(
         capsys, 8, ok,
         f"hard-pair test error {hard.test_error:.3f} (>= 0.3, rho*sqrt(n)="
-        f"{hard.rho_ab * math.sqrt(10**5):.2e}); "
+        f"{hard.rho * math.sqrt(10**5):.2e}); "
         f"contrast test error {easy.test_error:.3f} (<= 0.3, rho*sqrt(n)="
-        f"{easy.rho_ab * math.sqrt(10**4):.2f})",
+        f"{easy.rho * math.sqrt(10**4):.2f})",
     )
 
 

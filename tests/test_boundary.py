@@ -78,11 +78,11 @@ def test_edge_box_ends_in_result_or_named_error(name):
     for kind in PAIR_KINDS:
         pair = outcome(lower_bound_pair, kind, 500, box, 0.1)
         if not isinstance(pair, FrontierError):
-            assert finite(pair.R, pair.S, pair.rho_ab)
+            assert finite(pair.R, pair.S, pair.rho)
             assert member_ok(pair.a, box) and member_ok(pair.b, box)
         probe = outcome(threshold_probe, kind, box, 500, 0.1, 4, 905)
         if not isinstance(probe, FrontierError):
-            assert finite(probe.rho_ab, probe.kl_mean, probe.kl_stderr)
+            assert finite(probe.rho, probe.kl_mean, probe.kl_stderr)
             assert 0.0 <= probe.test_error <= 1.0
 
     summary = outcome(equivalence_ratio_probe, box, 20, 906)

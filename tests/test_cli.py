@@ -11,11 +11,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmm_frontier import FitResult, ThetaParams, estimate_theta, theta_to_phipsi
+from hmm_frontier import (
+    PAIR_KINDS,
+    ConstraintBox,
+    FitResult,
+    HypothesisPair,
+    LossRecord,
+    PhiPsiParams,
+    RatioProbeSummary,
+    ThetaParams,
+    ThresholdProbe,
+    equivalence_ratio_probe,
+    estimate_theta,
+    lower_bound_pair,
+    theta_to_phipsi,
+    threshold_probe,
+)
 from hmm_frontier.cli import build_parser, cli_main
 from hmm_frontier.params import fallback_direction
 
 from test_experiments import count_calls
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def run(capsys, *argv):
@@ -78,8 +97,7 @@ class TestEstimate:
         obs = write(tmp_path, "obs.txt", "1\n2\n3\n2\n1\n" * 40)
         code, out, _ = run(capsys, "estimate", "--input", obs, "--starts", "0")
         assert code == 0
-        fields = [f.name for f in dataclasses.fields(FitResult)]
-        assert list(json.loads(out)) == ["theta", *fields]
+        assert list(json.loads(out)) == ["theta", *field_names(FitResult)]
 
     def test_reads_csv_input(self, capsys, tmp_path):
         path_file = tmp_path / "path.csv"
@@ -110,6 +128,22 @@ class TestLbPair:
         assert (code, err) == (0, "")
         assert json.loads(out)["R"] == pytest.approx(0.07905694, abs=1e-8)
         assert run(capsys, "lb-pair", "--n", "100000", "--c", "0.001") == (0, out, "")
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_record_is_the_pair_fields(self, capsys, kind):
+        code, out, _ = run(capsys, "lb-pair", "--kind", kind, "--n", "10000000", "--c", "0.01")
+        assert code == 0
+        record = json.loads(out)
+        pair = lower_bound_pair(kind, 10**7, ConstraintBox(0.1, 0.2, 0.1, 0.3, 3), 0.01)
+        assert list(record) == field_names(HypothesisPair)
+        assert record["separation"] == dataclasses.asdict(pair.separation)
+        assert list(record["separation"]) == field_names(LossRecord)
+        scalars = ("kind", "R", "S", "rho")
+        assert [record[k] for k in scalars] == [getattr(pair, k) for k in scalars]
+        for name in ("a", "b"):
+            back, member = PhiPsiParams.from_json(json.dumps(record[name])), getattr(pair, name)
+            for coord in ("phi", "psi1", "psi2"):
+                assert getattr(back, coord).tobytes() == getattr(member, coord).tobytes()
 
     def test_empty_box_exit_2(self, capsys):
         code, out, err = run(capsys, "lb-pair", "--kind", "psi1", "--L", "0.9")
@@ -598,6 +632,15 @@ class TestProbes:
         assert summary["pairs_used"] == 50
         assert summary["candidates"] >= 100
 
+    def test_equiv_probe_record_is_the_summary_fields(self, capsys):
+        code, out, _ = run(capsys, "equiv-probe", "--pairs", "20", "--seed", "4")
+        assert code == 0
+        record = json.loads(out)
+        assert list(record) == field_names(RatioProbeSummary)
+        summary = equivalence_ratio_probe(ConstraintBox(0.1, 0.2, 0.1, 0.3, 3), 20, 4)
+        assert record == dataclasses.asdict(summary)
+        assert record["spread"] == record["max_ratio"] / record["min_ratio"]
+
     def test_equiv_probe_exhausted_sampler_exits_1(self, capsys):
         """At K=20 on the default box some member needs more than the sampler's
         budget: one error line, never a witness pair."""
@@ -682,6 +725,18 @@ class TestProbes:
         assert code == 0
         probe = json.loads(out)
         assert 0.0 <= probe["test_error"] <= 1.0
+
+    def test_threshold_probe_record_is_the_probe_fields(self, capsys):
+        code, out, _ = run(
+            capsys, "threshold-probe", "--kind", "psi1", "--n", "300", "--c", "1",
+            "--replicas", "8", "--seed", "3",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert list(record) == field_names(ThresholdProbe)
+        assert list(record["separation"]) == field_names(LossRecord)
+        box = ConstraintBox(0.1, 0.2, 0.1, 0.3, 3)
+        assert record == dataclasses.asdict(threshold_probe("psi1", box, 300, 1.0, 8, 3))
 
     def test_rate_sweep_csv(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"

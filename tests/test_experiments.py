@@ -18,16 +18,20 @@ from hmm_frontier import (
     ValidationError,
     derive_seed,
     empirical_triple_law,
+    equivalence_ratio_probe,
     losses,
     lower_bound_pair,
     min_distance_fit,
+    min_distance_fits,
     phipsi_to_theta,
     r_of_phi,
     rate_sweep,
+    sample_members,
     sample_paths,
     sample_phipsi,
     slope_fit,
     threshold_probe,
+    triple_law_phipsi,
 )
 from hmm_frontier import experiments, filter_kl
 from hmm_frontier.params import SLACK_NAMES, _membership_slacks, box_member
@@ -90,12 +94,12 @@ class TestLowerBoundPair:
     def test_psi1_distance(self):
         pair = lower_bound_pair("psi1", 10**4, probe_box(), 0.01)
         assert np.linalg.norm(pair.b.psi1 - pair.a.psi1) == pytest.approx(1e-4, rel=1e-9)
-        assert pair.rho_ab == pytest.approx(1e-4, rel=1e-9)
+        assert pair.rho == pytest.approx(1e-4, rel=1e-9)
 
     def test_c_zero_identical(self):
         for kind in ("phi1_phi3", "phi2", "psi1", "psi2"):
             pair = lower_bound_pair(kind, 10**6, probe_box(), 0.0)
-            assert pair.rho_ab == pytest.approx(0.0, abs=1e-15)
+            assert pair.rho == pytest.approx(0.0, abs=1e-15)
 
     def test_members_valid(self):
         box = probe_box()
@@ -265,7 +269,7 @@ class TestRateSweep:
     def test_grid_must_hold_integers(self, monkeypatch, bad):
         # int() truncated them: [100.7] fitted n = 100 and wrote n 100
         sampled = count_calls(monkeypatch, "sample_paths")
-        with pytest.raises(ValidationError, match=f"^n_grid must hold integer sizes: {bad}$"):
+        with pytest.raises(ValidationError, match=f"^n_grid entry must be an integer: {bad}$"):
             rate_sweep(self.box(), [bad, 1000], 1, 0)
         assert sampled == []
 
@@ -371,13 +375,13 @@ class TestThresholdProbe:
     def test_fractional_n_is_refused(self, monkeypatch):
         # int() truncated it: n = 300.7 built the pair at 300.7 and drew 300-symbol paths
         sampled = count_calls(monkeypatch, "sample_paths")
-        with pytest.raises(ValidationError, match="^n_grid must hold integer sizes: 300.7$"):
+        with pytest.raises(ValidationError, match="^n must be an integer: 300.7$"):
             threshold_probe("psi1", probe_box(), 300.7, 1.0, 4, 1)
         assert sampled == []
 
     def test_distinguishable_pair(self):
         probe = threshold_probe("psi1", probe_box(), 10**4, 1.0, 100, 22)
-        assert probe.rho_ab * math.sqrt(10**4) == pytest.approx(1.0, rel=1e-9)
+        assert probe.rho * math.sqrt(10**4) == pytest.approx(1.0, rel=1e-9)
         assert probe.test_error <= 0.3
         assert probe.kl_mean > 0.5
 
@@ -407,3 +411,52 @@ class TestThresholdProbe:
         threshold_probe("psi1", probe_box(), 200, 1.0, 10, 23)
         assert len(sampled) == 2
         assert len(scored) == 2  # one pass scores both hypotheses
+
+
+def pair_members():
+    pair = lower_bound_pair("psi1", 10**4, probe_box(), 1.0)
+    return pair.a, pair.b
+
+
+SIZE_ARGUMENTS = {
+    "lower_bound_pair-n": ("n", lambda v: lower_bound_pair("psi1", v, probe_box(), 0.01)),
+    "sample_paths-n": ("n", lambda v: sample_paths(phipsi_to_theta(pair_members()[0]), v, 2, 0)),
+    "sample_paths-count": (
+        "count", lambda v: sample_paths(phipsi_to_theta(pair_members()[0]), 5, v, 0)
+    ),
+    "rate_sweep-replicas": ("replicas", lambda v: rate_sweep(probe_box(), [300], v, 0)),
+    "llr_paths-replicas": (
+        "replicas", lambda v: filter_kl.llr_paths(*pair_members(), pair_members()[0], [10], v, 0)
+    ),
+    "min_distance_fits-random_starts": (
+        "random_starts",
+        lambda v: min_distance_fits([triple_law_phipsi(pair_members()[0])], probe_box(),
+                                    random_starts=v),
+    ),
+    "sample_members-count": ("count", lambda v: sample_members(probe_box(), v, 0)),
+    "equivalence_ratio_probe-pair_count": (
+        "pair_count", lambda v: equivalence_ratio_probe(probe_box(), v, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, math.nan])
+@pytest.mark.parametrize("entry", SIZE_ARGUMENTS)
+def test_size_arguments_share_one_rule(entry, bad):
+    # 2.5 raised a bare TypeError in seven of these; True was taken as 1 by four
+    name, call = SIZE_ARGUMENTS[entry]
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer: {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("size", [np.int64(3), 3.0, np.float32(3)])
+def test_integral_sizes_of_any_type_agree(size):
+    pair = lower_bound_pair("psi1", size, probe_box(), 0.01)
+    plain = lower_bound_pair("psi1", 3, probe_box(), 0.01)
+    assert (pair.R, pair.rho, pair.separation) == (plain.R, plain.rho, plain.separation)
+    assert pair.b.to_json() == plain.b.to_json()
+    assert type(threshold_probe("psi1", probe_box(), size, 0.01, 2, 1).n) is int
+    theta = phipsi_to_theta(plain.a)
+    paths, plain_paths = sample_paths(theta, size, size, 1), sample_paths(theta, 3, 3, 1)
+    assert paths.observed.dtype == plain_paths.observed.dtype
+    assert np.array_equal(paths.observed, plain_paths.observed)
