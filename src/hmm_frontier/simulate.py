@@ -10,8 +10,10 @@ uniforms time-major, then ``count*n`` emission uniforms path-major.
 
 ``sample_paths`` runs no loop over time steps.  Each transition step flips,
 resets or keeps the previous state, and every reset sets the same bit
-[q < p], so a block of steps is two compares, one running xor and one
-running maximum (``_scan_block``).  A symbol counts the inner cdf
+[q < p], so a step is a map x -> a x xor b of one bit.  A draw's steps are
+packed 64 to a machine word per path, composed within each word by
+log-step doubling, and carried from word to word by one running maximum
+(``_scan_draw``).  A symbol counts the inner cdf
 thresholds of its state that its uniform reaches; both states' compares
 are made and the state bit selects one, so no threshold is gathered per
 symbol (``_emit``).
@@ -109,13 +111,14 @@ def sample_paths(
 
     Returns one ``PathSample`` whose arrays have shape (count, n): hidden
     states as uint8, symbols as the narrowest unsigned type that holds K
-    (uint8 for K <= 255).  The hidden chain is scanned in blocks of time
-    steps (``_scan_block``) into the symbol array, whose dtype also holds
-    0/1.  Each emission draw then reads its own states as a bool mask and
-    overwrites them with its symbols (``_emit``): 1 plus the number of
-    inner thresholds of its state's emission cdf that its uniform reaches.
-    Neither loop runs per time step; the emission loop runs once per inner
-    threshold, K - 1 times per draw.
+    (uint8 for K <= 255).  The hidden chain is scanned one transition draw
+    at a time, 64 steps to a machine word (``_scan_draw``), into the symbol
+    array, whose dtype also holds 0/1.  Each emission draw then reads its
+    own states as a bool mask and overwrites them with its symbols
+    (``_emit``): 1 plus the number of inner thresholds of its state's
+    emission cdf that its uniform reaches.  Neither loop runs per time
+    step; the emission loop runs once per inner threshold, K - 1 times per
+    draw.
 
     With ``hidden=True`` one uint8 copy of the states is taken before the
     emissions, so the sample costs 2 bytes per symbol; with ``hidden=False``
@@ -129,15 +132,11 @@ def sample_paths(
         states = observed.astype(np.uint8) if hidden else None
         return PathSample(hidden=states, observed=observed)
     observed[:, 0] = rng.random(count) < stationary_dist(theta.p, theta.q)[1]
-    lo, hi = sorted((theta.p, theta.q))
     steps = max(1, _DRAW_BLOCK // count)
-    # the code 2k + c of a reset at step k of a draw, c = [q < p] the bit every reset sets
-    codes = 2 * np.arange(1, min(steps, n - 1) + 1, dtype=np.int32)[:, None]
-    codes += theta.q < theta.p
     for k0 in range(1, n, steps):
         k1 = min(k0 + steps, n)
         u = rng.random((k1 - k0, count))
-        observed[:, k0:k1] = _scan_block(u, observed[:, k0 - 1], lo, hi, codes[:k1 - k0]).T
+        _scan_draw(u, theta.p, theta.q, observed[:, k0 - 1:k1])
         del u  # free this draw before the next one is made
     states = observed.astype(np.uint8) if hidden else None
     # inner thresholds only: u < 1 never reaches the last cdf entry
@@ -150,31 +149,78 @@ def sample_paths(
     return PathSample(hidden=states, observed=observed)
 
 
-def _scan_block(u, state, lo, hi, codes):
-    """Hidden states (0/1 ints) for one (steps, count) block of transition uniforms.
+def _scan_draw(u, p, q, out):
+    """Scan one (steps, count) draw of transition uniforms into ``out`` (count, 1 + steps).
 
-    Step k sends the previous bit x to ``u < p`` if x = 0 and to ``u >= q``
-    if x = 1.  With lo = min(p, q) and hi = max(p, q) that is three maps of
-    x: the flip where u < lo, a reset where lo <= u < hi, and the identity
-    where u >= hi.  Every reset sets the same bit c = [q < p].  The state
-    after step k is the bit set at the last reset r <= k (or the carried
-    ``state``) xor the flips in (r, k].  ``codes`` holds 2k + c for each
-    step k = 1..steps; at a reset, its code xor the flips up to r is
-    2r + (c xor flips up to r), so one running maximum carries both the
-    last reset and its bit.
+    ``out[:, 0]`` holds each path's state before the draw, and its state
+    after each step is written to ``out[:, 1:]``.  Step k sends the
+    previous bit x to ``u < p`` if x = 0 and to ``u >= q`` if x = 1.  With
+    lo = min(p, q) and hi = max(p, q) that is a map x -> a x xor b of one
+    bit: the flip (a, b) = (1, 1) where u < lo, the reset (0, c) to
+    c = [q < p] where lo <= u < hi, and the identity (1, 0) where u >= hi.
+    So a = [u < lo or u >= hi], and b = [u < lo], or [u < hi] when c = 1.
+    The carried state enters as a first step, a flip of 0 where it is 1.
+
+    Each path's steps are packed along time into words of 64 bits (of 8,
+    16 or 32 when the draw is that short, so a draw of few steps over
+    many paths moves no wider words than it fills): bit j of word w is
+    step 64 w + j, and the steps after the last are identities.  Each bit
+    is composed with those before it in its word by log-step doubling
+    (after the pass of shift d, bit j holds the map of steps j - 2d + 1 .. j
+    of its word), so bit j's b is its state if the word is entered at 0.
+    A word's top bit then holds the map of the whole word, which keeps the
+    bit entering it (xor b) or resets it (to b).  The bit entering each
+    word is a scan at 1/64 of the length: a reset word w has the code
+    2(w + 1) + (b xor the kept parity up to w), so one running maximum
+    finds the last reset and its bit.  Only the compares, the packing and
+    the unpacking work per step.
     """
-    flip = u < lo
-    reset = u < hi
-    reset ^= flip  # lo <= u < hi: u < lo implies u < hi
-    parity = np.logical_xor.accumulate(flip, axis=0)
-    enc = codes ^ parity
-    enc *= reset
-    # the carried bit (0 or 1) stands until the block's first reset (2r >= 2)
-    np.maximum(enc[0], state, out=enc[0])
-    np.maximum.accumulate(enc, axis=0, out=enc)
-    enc &= 1
-    enc ^= parity
-    return enc
+    count, width = out.shape
+    nbytes = -(-width // 8)
+    size = min(8, 1 << (nbytes - 1).bit_length())  # bytes per word
+    words = -(-nbytes // size)
+    lo, hi = sorted((p, q))
+    # one byte per step, path-major: 2 where u < lo, 1 where lo <= u < hi
+    code = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+    np.add(out[:, 0], out[:, 0], out=code[:, 0])  # the carried state, a flip of 0
+    below = (u < hi).view(np.uint8)
+    below += u < lo
+    code[:, 1:width] = below.T
+    del below
+    packed = np.zeros((2, count, size * words), dtype=np.uint8)
+    packed[0, :, :nbytes] = np.packbits(code, bitorder="little").reshape(count, nbytes)
+    code &= 2
+    packed[1, :, :nbytes] = np.packbits(code, bitorder="little").reshape(count, nbytes)
+    del code
+    below_hi, flip = packed.view(f"<u{size}")
+    a = flip ^ below_hi  # the resets
+    np.invert(a, out=a)
+    b = below_hi if q < p else flip
+    shifted = np.empty_like(a)
+    shift = 1
+    while shift < min(width, 8 * size):
+        np.left_shift(b, shift, out=shifted)
+        shifted &= a
+        b ^= shifted
+        np.left_shift(a, shift, out=shifted)
+        shifted |= (1 << shift) - 1  # bits below the shift compose with identities
+        a &= shifted
+        shift *= 2
+    # the state after each word but the last; the first word is entered at 0
+    keep, last = (x[:, :-1] >> (8 * size - 1) for x in (a, b))
+    parity = np.bitwise_xor.accumulate(keep & last, axis=1)
+    last ^= parity
+    last |= np.arange(2, 2 * words, 2, dtype=last.dtype)
+    keep ^= 1
+    last *= keep
+    np.maximum.accumulate(last, axis=1, out=last)
+    last &= 1
+    last ^= parity
+    np.negative(last, out=last)  # all ones where the bit entering the next word is 1
+    last &= a[:, 1:]
+    b[:, 1:] ^= last
+    states = np.ascontiguousarray(b.view(np.uint8)[:, :nbytes])  # b is little-endian
+    out[:, 1:] = np.unpackbits(states, bitorder="little").reshape(count, -1)[:, 1:width]
 
 
 def _emit(u, state, thresholds, out):

@@ -14,7 +14,11 @@ R x n = 20 x 50,000 and 300 x 3000.  The sampler cases hash the bytes of
 ``sample_paths(theta, n, R, [905, R, n])`` (symbols, and states where
 kept) under a's theta at R x n = 100 x 1e5, 500 x 1e4 and, with states,
 1 x 3e5, under the K = 8 pair's a at 20 x 50,000, and at K = 300 (uint16
-symbols, with states) at 10 x 10,000.  Run from the repository root:
+symbols, with states) at 10 x 10,000.  Two more thetas with a's emissions
+set the other reset bit: a's p and q swapped (q < p, so a reset sets 1)
+and p = q = a's p (no reset); each is sampled with states at
+3 x 100,003 and 4000 x 1000, whose transition draws end inside a 64-step
+word and, at 4000 paths, span 65 steps.  Run from the repository root:
 
     PYTHONPATH=src python tests/scan_bank.py > bank.jsonl
     PYTHONPATH=src python tests/scan_bank.py --against bank.jsonl
@@ -56,6 +60,8 @@ TRAJECTORIES = (10, 5000, 100_001)
 WIDE_BATCHES = ((20, 50_000), (300, 3000))
 # (R, n, keep states) of the sampler cases under a's theta
 SAMPLES = ((100, 100_000, False), (500, 10_000, False), (1, 300_000, True))
+# (R, n) of the cases under the thetas whose resets set 1 or never happen
+RESET_SAMPLES = ((3, 100_003), (4000, 1000))
 
 
 def wide_pair(k):
@@ -125,6 +131,11 @@ def run_bank():
     theta_a = phipsi_to_theta(A)
     for rows, n, hidden in SAMPLES:
         yield sample_record(f"sample_paths-{rows}x{n}", theta_a, rows, n, hidden)
+    swapped = ThetaParams(p=theta_a.q, q=theta_a.p, f0=theta_a.f0, f1=theta_a.f1)
+    equal = ThetaParams(p=theta_a.p, q=theta_a.p, f0=theta_a.f0, f1=theta_a.f1)
+    for name, theta in (("q<p", swapped), ("p=q", equal)):
+        for rows, n in RESET_SAMPLES:
+            yield sample_record(f"sample_paths-{name}-{rows}x{n}", theta, rows, n, True)
     theta_k8 = phipsi_to_theta(wide_pair(8)[0])
     yield sample_record("sample_paths-k8-20x50000", theta_k8, 20, 50_000, False)
     yield sample_record("sample_paths-k300-10x10000", wide_theta(300), 10, 10_000, True)

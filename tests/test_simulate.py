@@ -184,11 +184,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
     @pytest.mark.parametrize("theta", ORACLE_THETAS.values(), ids=ORACLE_THETAS.keys())
     def test_same_bytes_as_step_loop(self, monkeypatch, theta, seed):
-        # a small draw budget keeps the reference loop cheap; n hits every block edge
+        # a small draw budget keeps the reference loop cheap; n hits every block edge,
+        # and 16, 17 and 150 paths take draws of 64, 60 and 6 steps: one word and less
         B = 1024
         monkeypatch.setattr(simulate, "_DRAW_BLOCK", B)
         shapes = []
-        for count in (0, 1, 7):
+        for count in (0, 1, 7, 16, 17, 150):
             s = max(1, B // max(count, 1))  # steps per transition draw
             shapes += [(n, count) for n in (0, 1, 2, s, s + 1, 3 * s + 5)]
         # paths longer than the budget: each row's emissions in column chunks
@@ -229,18 +230,22 @@ class TestBitIdentity:
 class TestTieRules:
     @pytest.mark.parametrize("p, q", [(0.25, 0.5), (0.5, 0.25), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0)])
     def test_a_transition_uniform_on_p_or_q(self, p, q):
-        # steps whose uniforms lie on p and q or just below them, from both states
+        # steps whose uniforms lie on p and q or just below them, from both states,
+        # in draws that end before, on and after the edges of 8- to 64-bit words
+        # (a draw's word holds the carried state and its steps)
         ties = np.array([0.0, p, q, np.nextafter(p, 0.0), np.nextafter(q, 0.0), np.nextafter(1.0, 0.0)])
-        u = np.random.default_rng(3).choice(ties[ties < 1.0], size=(40, 6))
         start = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
-        codes = 2 * np.arange(1, 41, dtype=np.int32)[:, None] + (q < p)
-        got = simulate._scan_block(u, start, min(p, q), max(p, q), codes)
-        # the step loop's rule: 0 moves to 1 when u < p, 1 stays when u >= q
-        x, want = start, []
-        for row in u:
-            x = np.where(x == 1, row >= q, row < p)
-            want.append(x)
-        assert np.array_equal(got, want)
+        for steps in (1, 7, 8, 15, 16, 31, 32, 40, 63, 64, 65, 130):
+            u = np.random.default_rng(3).choice(ties[ties < 1.0], size=(steps, 6))
+            got = np.empty((6, 1 + steps), dtype=np.uint8)
+            got[:, 0] = start
+            simulate._scan_draw(u, p, q, got)
+            # the step loop's rule: 0 moves to 1 when u < p, 1 stays when u >= q
+            x, want = start, []
+            for row in u:
+                x = np.where(x == 1, row >= q, row < p)
+                want.append(x)
+            assert np.array_equal(got[:, 1:].T, want), steps
 
     def test_a_uniform_on_a_cdf_entry_reaches_it(self):
         # dyadic masses, so each cdf entry is exact; symbol 2 has no mass in state 0,
@@ -277,6 +282,21 @@ def test_long_emission_draw_is_bounded_by_the_budget():
             tracemalloc.stop()
         assert ps.observed.shape == (1, n)
         assert peak <= path_bytes * n + 32 * simulate._DRAW_BLOCK, hidden
+
+
+def test_transition_draws_are_bounded_by_the_budget():
+    # 100 paths take transition draws of 2621, 2621, 2621 and 4 steps: the peak
+    # is the paths plus a fixed multiple of the budget, whatever R x n
+    count, n = 100, 3 * 2621 + 5
+    assert simulate._DRAW_BLOCK // count == 2621
+    tracemalloc.start()
+    try:
+        ps = sample_paths(worked_theta(), n, count, 1, hidden=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.observed.shape == (count, n)
+    assert peak <= count * n + 32 * simulate._DRAW_BLOCK
 
 
 class TestExactLaw:
